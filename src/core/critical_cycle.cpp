@@ -8,6 +8,11 @@
 #include "util/contracts.hpp"
 
 namespace ccs {
+namespace {
+
+__extension__ typedef __int128 Wide;
+
+}  // namespace
 
 Rational CycleWitness::ratio() const {
   if (total_delay == 0) return Rational{0, 1};
@@ -21,15 +26,15 @@ CycleWitness critical_cycle(const Csdfg& g) {
 
   const long long p = bound.num, q = bound.den;
   const std::size_t n = g.node_count();
+  // 128-bit: with times and delays near 2^31, q*t and p*d reach 2^63.
   auto weight = [&](EdgeId eid) {
     const Edge& e = g.edge(eid);
-    return q * static_cast<long long>(g.node(e.from).time) -
-           p * static_cast<long long>(e.delay);
+    return Wide{q} * g.node(e.from).time - Wide{p} * e.delay;
   };
 
   // Longest paths from a virtual source; converges because no cycle is
   // positive at ratio B.
-  std::vector<long long> dist(n, 0);
+  std::vector<Wide> dist(n, 0);
   for (std::size_t pass = 0; pass < n; ++pass) {
     bool changed = false;
     for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {

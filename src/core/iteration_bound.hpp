@@ -26,7 +26,9 @@ struct Rational {
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] friend std::strong_ordering operator<=>(const Rational& a,
                                                         const Rational& b) {
-    return a.num * b.den <=> b.num * a.den;
+    // 128-bit cross products: num and den may each exceed 2^31.
+    return __extension__(static_cast<__int128>(a.num) * b.den <=>
+                         static_cast<__int128>(b.num) * a.den);
   }
   [[nodiscard]] friend bool operator==(const Rational& a, const Rational& b) {
     return (a <=> b) == std::strong_ordering::equal;
@@ -36,21 +38,19 @@ struct Rational {
 /// Computes the iteration bound of `g` exactly.
 ///
 /// Method: the bound is the maximum cycle ratio of the edge-weighted graph
-/// with value(e) = t(source(e)) and cost(e) = d(e).  A candidate ratio
-/// lambda = p/q is feasible (lambda >= B) iff the graph with edge weights
-/// q*t(u) - p*d(e) has no positive cycle (checked by Bellman–Ford).  Since B
-/// is a ratio of (sum t over a simple cycle) / (sum d over that cycle), its
-/// denominator is at most total_delay(); a binary search over the
-/// Stern–Brocot tree of such fractions terminates with the exact value.
+/// with value(e) = t(source(e)) and cost(e) = d(e), computed per strongly
+/// connected component that holds a cycle by Howard policy iteration
+/// (Cochet-Terrasson et al. 1998; Dasdan 2004).  Each policy keeps one
+/// out-edge per node; its cycles' ratios are kept as exact reduced
+/// (sum t, sum d) pairs and compared by 128-bit cross-multiplication, so the
+/// result is exact for any int32 times and delays.  No step enumerates
+/// candidate denominators, so the work does not scale with the delay
+/// values.  The denominator sweep this replaced (a Stern–Brocot search with
+/// a Bellman–Ford test per probe) survives only as the test referee in
+/// tests/cycle_ratio_referee.hpp.
 ///
 /// Acyclic graphs have bound 0/1.  Throws GraphError if `g` is illegal (a
 /// zero-delay cycle would make the bound infinite).
 [[nodiscard]] Rational iteration_bound(const Csdfg& g);
-
-/// True iff some cycle of the graph with edge weight q*t(u) - p*d(e) is
-/// strictly positive — i.e. the iteration bound exceeds p/q.  Exposed for
-/// testing.
-[[nodiscard]] bool has_cycle_ratio_above(const Csdfg& g, long long p,
-                                         long long q);
 
 }  // namespace ccs

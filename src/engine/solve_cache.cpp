@@ -8,6 +8,7 @@
 #include "arch/route_cache.hpp"
 #include "core/retiming.hpp"
 #include "util/error.hpp"
+#include "util/lines.hpp"
 
 namespace ccs {
 
@@ -218,16 +219,31 @@ void SolveCache::corrupt_entries_for_test() {
 }
 
 std::string exact_graph_bytes(const Csdfg& g) {
-  std::ostringstream os;
-  os << g.name() << '\n';
+  // An upper bound (at most 11 characters per time, 75 per edge line):
+  // the bytes only live until exact_solve_key() has copied them.
+  std::size_t size = g.name().size() + 1 + 75 * g.edge_count();
   for (NodeId v = 0; v < g.node_count(); ++v)
-    os << g.node(v).name << ' ' << g.node(v).time << '\n';
+    size += g.node(v).name.size() + 13;
+  std::string out;
+  out.reserve(size);
+  out.append(g.name()) += '\n';
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    out.append(g.node(v).name) += ' ';
+    append_decimal(out, g.node(v).time);
+    out += '\n';
+  }
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& edge = g.edge(e);
-    os << edge.from << ' ' << edge.to << ' ' << edge.delay << ' '
-       << edge.volume << '\n';
+    append_decimal(out, edge.from);
+    out += ' ';
+    append_decimal(out, edge.to);
+    out += ' ';
+    append_decimal(out, edge.delay);
+    out += ' ';
+    append_decimal(out, edge.volume);
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string exact_solve_key(const Topology& topo, std::uint64_t options_fp,
@@ -339,6 +355,9 @@ bool translate_cached(const SolveCache::Entry& entry,
     out.winner_attempt = entry.winner_attempt;
     out.winner_label = entry.winner_label;
     out.certified = true;
+    // The optimality certificate exactly as Solver::solve derives it.
+    out.gap = out.best_length - out.lower_bound;
+    out.optimal = request.certify && out.gap == 0;
     out.status = SolveStatus::kOk;
     return true;
   } catch (const std::exception& e) {

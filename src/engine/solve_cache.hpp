@@ -257,11 +257,12 @@ private:
 /// Translates `entry` into the request's node space through the inverse of
 /// `canon.perm` and re-certifies the result from first principles.  On
 /// success fills `out` (status kOk, certified, schedule/graph/retiming/
-/// bookkeeping) and returns true.  On failure returns false with the
-/// rejection coded in out.diagnostics: CCS-N003 when the canonical forms
-/// do not match (fingerprint collision), CCS-S016 (plus the certifier's
-/// findings) when the translated table fails re-certification — callers on
-/// the hot path discard `out` and fall back to a cold solve.
+/// bookkeeping, lower_bound/gap/optimal) and returns true.  On failure
+/// returns false with the rejection coded in out.diagnostics: CCS-N003
+/// when the canonical forms do not match (fingerprint collision),
+/// CCS-S016 (plus the certifier's findings) when the translated table
+/// fails re-certification — callers on the hot path discard `out` and fall
+/// back to a cold solve.
 [[nodiscard]] bool translate_cached(const SolveCache::Entry& entry,
                                     const SolveRequest& request,
                                     const CanonResult& canon,

@@ -160,16 +160,34 @@ Csdfg parse_csdfg(const std::string& text) {
 }
 
 std::string serialize_csdfg(const Csdfg& g) {
-  std::ostringstream os;
-  os << "graph " << g.name() << '\n';
+  // Exact size: callers keep the text (responses, corpora), so spare
+  // capacity would stay resident.
+  std::size_t size = g.name().size() + 7;
   for (NodeId v = 0; v < g.node_count(); ++v)
-    os << "node " << g.node(v).name << ' ' << g.node(v).time << '\n';
+    size += g.node(v).name.size() + decimal_width(g.node(v).time) + 7;
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& edge = g.edge(e);
-    os << "edge " << g.node(edge.from).name << ' ' << g.node(edge.to).name
-       << ' ' << edge.delay << ' ' << edge.volume << '\n';
+    size += g.node(edge.from).name.size() + g.node(edge.to).name.size() +
+            decimal_width(edge.delay) + decimal_width(edge.volume) + 9;
   }
-  return os.str();
+  std::string out;
+  out.reserve(size);
+  out.append("graph ").append(g.name()) += '\n';
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    out.append("node ").append(g.node(v).name) += ' ';
+    append_decimal(out, g.node(v).time);
+    out += '\n';
+  }
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(e);
+    out.append("edge ").append(g.node(edge.from).name) += ' ';
+    out.append(g.node(edge.to).name) += ' ';
+    append_decimal(out, edge.delay);
+    out += ' ';
+    append_decimal(out, edge.volume);
+    out += '\n';
+  }
+  return out;
 }
 
 Topology parse_topology(const std::string& spec) {

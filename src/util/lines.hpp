@@ -1,4 +1,4 @@
-// ccsched — line normalization shared by every text parser.
+// ccsched — line helpers shared by the text parsers and writers.
 //
 // All of the repo's text formats (graph, schedule, SDF, fault spec) are
 // line-oriented.  Files arrive from any platform and any editor, so every
@@ -8,6 +8,8 @@
 // "unknown directive" diagnostics on otherwise valid lines.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <string>
 
 namespace ccs {
@@ -19,6 +21,24 @@ inline void normalize_parsed_line(std::string& line, bool first_line) {
       line[1] == '\xBB' && line[2] == '\xBF')
     line.erase(0, 3);
   if (!line.empty() && line.back() == '\r') line.pop_back();
+}
+
+/// Appends the decimal form of `value` to `out` (the digits `os << value`
+/// writes, without a stream).
+template <std::integral Int>
+void append_decimal(std::string& out, Int value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, end);
+}
+
+/// The number of characters append_decimal(out, value) appends, so a
+/// writer can reserve its exact output size.
+template <std::integral Int>
+std::size_t decimal_width(Int value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  return static_cast<std::size_t>(end - buf);
 }
 
 }  // namespace ccs

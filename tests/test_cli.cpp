@@ -62,6 +62,22 @@ TEST(Cli, BoundPrintsTheRational) {
   EXPECT_EQ(r.out, "3/2\n");
 }
 
+TEST(Cli, OneHugeDelayIsAnsweredExactly) {
+  const std::string path =
+      std::string(CCS_EXAMPLES_DATA_DIR) + "/hostile/huge_delay.csdfg";
+  const CliResult bound = cli({"bound", path});
+  EXPECT_EQ(bound.code, 0) << bound.err;
+  EXPECT_EQ(bound.out, "1/1000000000\n");
+  const CliResult info = cli({"info", path});
+  EXPECT_EQ(info.code, 0) << info.err;
+  EXPECT_NE(info.out.find("iteration bound:  1/1000000000"),
+            std::string::npos);
+  for (const char* command : {"analyze", "schedule"}) {
+    const CliResult r = cli({command, path, "--arch", "complete 2"});
+    EXPECT_EQ(r.code, 0) << command << ": " << r.err;
+  }
+}
+
 TEST(Cli, FilesAndStdinAreInterchangeable) {
   const std::string path = temp_file("demo.csdfg", kDemo);
   EXPECT_EQ(cli({"bound", path}).out, cli({"bound", "-"}, kDemo).out);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/iteration_bound.hpp"
+#include "cycle_ratio_referee.hpp"
 #include "util/error.hpp"
 #include "workloads/library.hpp"
 #include "workloads/transforms.hpp"

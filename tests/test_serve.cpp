@@ -137,6 +137,31 @@ TEST(Serve, SingleJobStreamIsByteDeterministic) {
   EXPECT_EQ(first.summary.answered, 5);
 }
 
+TEST(Serve, RelabeledCacheHitReportsTheGap) {
+  SolveCache::global().clear();
+  ServeOptions o;
+  o.jobs = 1;
+  const ServeRun r = run(solve_line("a", kGraphA) + "\n" +
+                             solve_line("b", kGraphB) + "\n" +
+                             solve_line("b2", kGraphB) + "\n",
+                         o);
+  ASSERT_EQ(r.responses.size(), 3u);
+  EXPECT_EQ(field(r.responses[0], "cache_hit"), "false");
+  ASSERT_NE(field(r.responses[0], "gap"), "-1");
+  for (const std::size_t i : {1u, 2u}) {
+    // b is translated from a's entry; b2 replays b's answer byte for byte.
+    EXPECT_EQ(field(r.responses[i], "cache_hit"), "true") << i;
+    EXPECT_EQ(field(r.responses[i], "lower_bound"),
+              field(r.responses[0], "lower_bound"))
+        << i;
+    EXPECT_EQ(field(r.responses[i], "gap"), field(r.responses[0], "gap"))
+        << i;
+    EXPECT_EQ(field(r.responses[i], "optimal"),
+              field(r.responses[0], "optimal"))
+        << i;
+  }
+}
+
 TEST(Serve, ExpiredDeadlineRejectedBeforeAnyWork) {
   ServeOptions o;
   const ServeRun r = run(

@@ -364,6 +364,31 @@ TEST(SolverCache, RelabeledResubmissionHitsAndMatchesColdSolve) {
   EXPECT_EQ(stats.entries, 1u);
 }
 
+TEST(SolverCache, TryCachedRelabeledHitReportsTheGap) {
+  SolveCache::global().clear();
+  Solver solver;
+  SolveRequest req;
+  req.graph = paper_example6();
+  req.arch = "mesh 2 2";
+  const SolveResponse cold = solver.solve(req);
+  ASSERT_TRUE(cold.ok()) << render_text(cold.diagnostics);
+  ASSERT_GE(cold.gap, 0);
+
+  SolveRequest renamed = req;
+  renamed.graph = relabel(req.graph, rotated_perm(req.graph.node_count(), 3));
+  // The first probe translates the isomorphic entry (tier 2); the second
+  // replays that translated answer for the same bytes (tier 1).
+  for (int probe = 0; probe < 2; ++probe) {
+    const std::optional<SolveResponse> hot = solver.try_cached(renamed);
+    ASSERT_TRUE(hot.has_value()) << probe;
+    EXPECT_TRUE(hot->cache_hit) << probe;
+    EXPECT_EQ(hot->lower_bound, cold.lower_bound) << probe;
+    EXPECT_EQ(hot->gap, cold.gap) << probe;
+    EXPECT_EQ(hot->optimal, cold.optimal) << probe;
+  }
+  EXPECT_EQ(SolveCache::global().stats().identical_hits, 1);
+}
+
 TEST(SolverCache, StartupModeRoundTripsWithoutRetiming) {
   SolveCache::global().clear();
   Solver solver;
