@@ -29,6 +29,7 @@
 #include "bench_common.hpp"
 #include "engine/solve_cache.hpp"
 #include "engine/solver.hpp"
+#include "util/lines.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/library.hpp"
 
@@ -179,7 +180,7 @@ void BM_CanonicalizeSymmetricFanOut(benchmark::State& state) {
   Csdfg g("fanout");
   const NodeId src = g.add_node("src", 1);
   for (int i = 0; i < leaves; ++i) {
-    const NodeId leaf = g.add_node("f" + std::to_string(i), 2);
+    const NodeId leaf = g.add_node(numbered("f", i), 2);
     g.add_edge(src, leaf, 0, 1);
   }
   CanonResult last;

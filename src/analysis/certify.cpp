@@ -429,7 +429,7 @@ bool known_trace_kind(std::string_view kind) {
       "pass_start", "rotation",    "remap_target", "remap_decision",
       "psl_pad",    "rollback",    "pass_end",     "startup_done",
       "sim_run",    "fault",       "repair_attempt", "budget_exhausted",
-      "span_begin", "span_end"};
+      "attempt_derived", "span_begin", "span_end"};
   return kinds.find(kind) != kinds.end();
 }
 

@@ -175,10 +175,14 @@ std::string render_sarif(const DiagnosticBag& bag, std::string_view name) {
   run.raw_field("tool", "{\"driver\":" + driver.close() + "}")
       .raw_field("results", sarif_results_array(bag));
 
+  // Appended, not "[" + ...: GCC 12 -Wrestrict false positive (bug 105651).
+  std::string runs = "[";
+  runs += run.close();
+  runs += ']';
   JsonWriter doc;
   doc.field("version", "2.1.0")
       .field("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
-      .raw_field("runs", "[" + run.close() + "]");
+      .raw_field("runs", runs);
   return doc.close() + "\n";
 }
 

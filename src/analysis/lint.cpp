@@ -1,6 +1,7 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -194,6 +195,24 @@ public:
   }
 };
 
+/// CCS-G009: the start-up horizon must fit in a schedule table's int
+/// control steps.  require_legal() refuses such graphs with HorizonError;
+/// this pass names the length instead of letting a pipeline stage fail.
+class HorizonOverflowPass final : public LintPass {
+public:
+  [[nodiscard]] const LintRule& rule() const override {
+    return rule_or_die("CCS-G009");
+  }
+
+  void run(const LintInput& input, DiagnosticBag& bag) const override {
+    // -1 (a zero-delay cycle) is CCS-G001's finding.
+    const long long horizon = input.graph.startup_horizon();
+    if (horizon <= std::numeric_limits<int>::max()) return;
+    bag.add("CCS-G009", input.spans.file_span(),
+            horizon_overflow_message(horizon));
+  }
+};
+
 /// Ceiling division for non-negative values.
 long long ceil_div(long long a, long long b) { return (a + b - 1) / b; }
 
@@ -212,7 +231,7 @@ public:
     if (g.node_count() == 0) return;
     // Width proxy: the largest set of tasks sharing an ASAP control step.
     const DagTiming timing = compute_dag_timing(g);
-    std::map<int, std::size_t> per_step;
+    std::map<long long, std::size_t> per_step;
     std::size_t width = 0;
     for (NodeId v = 0; v < g.node_count(); ++v)
       width = std::max(width, ++per_step[timing.asap_cb[v]]);
@@ -298,6 +317,7 @@ const std::vector<const LintPass*>& lint_passes() {
   static const DuplicateEdgePass duplicate_edge;
   static const IsolatedNodePass isolated_node;
   static const DelayStarvedCyclePass delay_starved;
+  static const HorizonOverflowPass horizon_overflow;
   static const InsufficientProcessorsPass insufficient_processors;
   static const OversizedCommunicationPass oversized_communication;
   static const SpeedListMismatchPass speed_list_mismatch;
@@ -305,6 +325,7 @@ const std::vector<const LintPass*>& lint_passes() {
   static const std::vector<const LintPass*> passes{
       &zero_delay_cycle,     &duplicate_edge,
       &isolated_node,        &delay_starved,
+      &horizon_overflow,
       &insufficient_processors, &oversized_communication,
       &speed_list_mismatch,  &automorphism_group,
   };
@@ -312,7 +333,10 @@ const std::vector<const LintPass*>& lint_passes() {
 }
 
 void run_lint_passes(const LintInput& input, DiagnosticBag& bag) {
-  const bool legal = input.graph.is_legal();
+  // The passes that need a legal graph also need its timing in int.
+  const long long horizon = input.graph.startup_horizon();
+  const bool legal =
+      horizon >= 0 && horizon <= std::numeric_limits<int>::max();
   const bool has_arch = input.options.topology != nullptr;
   for (const LintPass* pass : lint_passes()) {
     if (pass->needs_architecture() && !has_arch) continue;

@@ -6,7 +6,7 @@ namespace ccs {
 
 namespace {
 
-constexpr std::array<LintRule, 44> kRules{{
+constexpr std::array<LintRule, 45> kRules{{
     {"CCS-P001", "syntax-error", Severity::kError,
      "A line of the graph file does not match any directive grammar.",
      "Use `graph <name>`, `node <name> <time>`, or `edge <from> <to> "
@@ -53,6 +53,13 @@ constexpr std::array<LintRule, 44> kRules{{
      "iteration and no retiming or remapping can shorten the schedule.",
      "Deepen the cycle's delays (c-slow the loop) or shorten the tasks on "
      "the critical cycle."},
+    {"CCS-G009", "horizon-overflow", Severity::kError,
+     "The zero-delay critical path (the start-up schedule's ASAP/ALAP "
+     "horizon) spans more control steps than a schedule table can index "
+     "(2^31 - 1); the graph is refused rather than scheduled with "
+     "overflowing arithmetic.",
+     "Scale the node times down (a common divisor keeps every ratio), or "
+     "split the long zero-delay chain with delays."},
     {"CCS-A001", "insufficient-processors", Severity::kWarning,
      "The zero-delay DAG offers more simultaneously ready tasks than the "
      "architecture has processors, so the schedule must serialize "

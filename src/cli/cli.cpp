@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -451,7 +452,12 @@ int cmd_analyze(Args& args, std::istream& in, std::ostream& out) {
       parse_csdfg_with_spans(text, span_label(path), bag);
   const StoreAndForwardModel comm(topo);
   std::optional<CompositeBound> bound;
-  if (parsed.graph.is_legal()) {
+  const long long horizon = parsed.graph.startup_horizon();
+  if (horizon > std::numeric_limits<int>::max()) {
+    bag.add(HorizonError::kCode, parsed.spans.file_span(),
+            horizon_overflow_message(horizon) +
+                "; no lower bound is reported");
+  } else if (horizon >= 0) {
     const BoundMachine machine = machine_view(topo, comm, opt);
     bound = compute_bounds(parsed.graph, machine);
     report_bounds(*bound, parsed.spans.file_span(), bag);
@@ -1168,6 +1174,9 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
   } catch (const UsageError& e) {
     err << "usage error: " << e.message << '\n';
     return kUsage;
+  } catch (const HorizonError& e) {
+    err << "error: " << e.what() << " [" << HorizonError::kCode << "]\n";
+    return kFailure;
   } catch (const Error& e) {
     err << "error: " << e.what() << '\n';
     return kFailure;

@@ -101,6 +101,8 @@ struct RunBudget {
     return max_passes > 0 || deadline_ms > 0 || patience > 0 ||
            stop != nullptr;
   }
+
+  friend bool operator==(const RunBudget&, const RunBudget&) = default;
 };
 
 }  // namespace ccs

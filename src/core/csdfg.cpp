@@ -1,9 +1,12 @@
 #include "core/csdfg.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "util/contracts.hpp"
 #include "util/error.hpp"
+#include "util/lines.hpp"
 
 namespace ccs {
 
@@ -13,7 +16,7 @@ NodeId Csdfg::add_node(std::string name, int time) {
     os << "node '" << name << "': computation time must be >= 1, got " << time;
     throw GraphError(os.str());
   }
-  if (name.empty()) name = "v" + std::to_string(nodes_.size());
+  if (name.empty()) name = numbered("v", nodes_.size());
   nodes_.push_back(Node{std::move(name), time});
   out_.emplace_back();
   in_.emplace_back();
@@ -112,33 +115,54 @@ long long Csdfg::total_delay() const noexcept {
   return sum;
 }
 
-bool Csdfg::is_legal() const {
-  // Kahn's algorithm restricted to zero-delay edges: the graph is legal iff
-  // the zero-delay subgraph is acyclic.
+bool Csdfg::is_legal() const { return startup_horizon() >= 0; }
+
+long long Csdfg::startup_horizon() const {
+  // Kahn's algorithm restricted to zero-delay edges, carrying each node's
+  // earliest start: the graph is legal iff the zero-delay subgraph is
+  // acyclic.
   std::vector<std::size_t> indeg(nodes_.size(), 0);
   for (const auto& e : edges_)
     if (e.delay == 0) ++indeg[e.to];
+  std::vector<long long> start(nodes_.size(), 0);
   std::vector<NodeId> ready;
   for (NodeId v = 0; v < nodes_.size(); ++v)
     if (indeg[v] == 0) ready.push_back(v);
   std::size_t removed = 0;
+  long long horizon = 0;
   while (!ready.empty()) {
     const NodeId v = ready.back();
     ready.pop_back();
     ++removed;
+    const long long finish = start[v] + nodes_[v].time;
+    horizon = std::max(horizon, finish);
     for (EdgeId eid : out_[v]) {
       const Edge& e = edges_[eid];
-      if (e.delay == 0 && --indeg[e.to] == 0) ready.push_back(e.to);
+      if (e.delay != 0) continue;
+      start[e.to] = std::max(start[e.to], finish);
+      if (--indeg[e.to] == 0) ready.push_back(e.to);
     }
   }
-  return removed == nodes_.size();
+  return removed == nodes_.size() ? horizon : -1;
 }
 
 void Csdfg::require_legal() const {
-  if (!is_legal())
+  const long long horizon = startup_horizon();
+  if (horizon < 0)
     throw GraphError("CSDFG '" + name_ +
                      "' has a cycle with zero total delay (illegal: an "
                      "iteration would depend on its own future)");
+  if (horizon > std::numeric_limits<int>::max())
+    throw HorizonError("CSDFG '" + name_ + "': " +
+                       horizon_overflow_message(horizon));
+}
+
+std::string horizon_overflow_message(long long horizon) {
+  std::ostringstream os;
+  os << "the zero-delay critical path spans " << horizon
+     << " control steps, beyond the " << std::numeric_limits<int>::max()
+     << " a schedule table can index";
+  return os.str();
 }
 
 }  // namespace ccs

@@ -103,7 +103,13 @@ public:
   /// paper's "strictly positive delay cycles" legality condition.)
   [[nodiscard]] bool is_legal() const;
 
-  /// Throws GraphError with a diagnostic if !is_legal().
+  /// Length in control steps of the longest zero-delay path, in 64 bits:
+  /// the ASAP/ALAP window of the start-up schedule (DagTiming's
+  /// critical_path).  -1 when the zero-delay subgraph has a cycle.
+  [[nodiscard]] long long startup_horizon() const;
+
+  /// Throws GraphError with a diagnostic if !is_legal(), and HorizonError
+  /// (CCS-G009) if startup_horizon() does not fit in int.
   void require_legal() const;
 
 private:
@@ -113,5 +119,10 @@ private:
   std::vector<std::vector<EdgeId>> out_;
   std::vector<std::vector<EdgeId>> in_;
 };
+
+/// The CCS-G009 finding for a start-up horizon beyond int: "the zero-delay
+/// critical path spans <horizon> control steps, beyond the 2147483647 a
+/// schedule table can index".
+[[nodiscard]] std::string horizon_overflow_message(long long horizon);
 
 }  // namespace ccs

@@ -1,37 +1,33 @@
 #include "core/cyclo_compaction.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "util/contracts.hpp"
 
 namespace ccs {
 
-CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
-                                    const CommModel& comm,
-                                    const CycloCompactionOptions& options,
-                                    const ObsContext& obs) {
-  g.require_legal();
-  const ScopedTimer timer(obs.metrics, "time.compaction");
-  const ObsSpan run_span = obs.span("compact");
-
-  ScheduleTable startup =
-      start_up_schedule(g, topo, comm, options.startup, obs);
-
+CycloCompactionResult compact_from(const Csdfg& g, const CommModel& comm,
+                                   const ScheduleTable& startup,
+                                   const CycloCompactionOptions& options,
+                                   const ObsContext& obs,
+                                   PassBoundaryObserver* observer) {
   const int passes = options.passes > 0
                          ? options.passes
                          : 3 * static_cast<int>(std::max<std::size_t>(
                                    1, g.node_count()));
 
   // The engine owns the working graph, retiming, and placements; each pass
-  // is rotate / remap / commit, and a failed pass rolls back wholesale.
-  RemapEngine engine(g, comm, options.remap_backend);
-  engine.bind(startup);
+  // is rotate / remap / commit, and a failed pass rolls back wholesale.  It
+  // is built at the first pass the budget lets run.
+  std::optional<RemapEngine> engine;
 
-  CycloCompactionResult result{g,  Retiming(g.node_count()),
-                               startup, startup,
-                               {}, 0,
-                               {}, {},
-                               std::string(remap_backend_name(engine.backend()))};
+  CycloCompactionResult result{
+      g,  Retiming(g.node_count()),
+      startup, startup,
+      {}, 0,
+      {}, {},
+      std::string(remap_backend_name(options.remap_backend))};
 
   // Budget bookkeeping: all three stop conditions are evaluated at pass
   // boundaries so a budgeted run is a deterministic prefix of the
@@ -59,32 +55,38 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
   };
 
   for (int pass = 1; pass <= passes; ++pass) {
+    if (observer != nullptr) observer->at_boundary(pass - 1, result);
     if (const char* reason = budget_stop(pass)) {
       result.stop_reason = reason;
       obs.count("compaction.budget_stops");
       obs.emit(BudgetEvent{reason, pass, result.best.length()});
       break;
     }
-    const int previous_length = engine.length();
+    if (!engine) {
+      engine.emplace(g, comm, options.remap_backend);
+      engine->bind(startup);
+    }
+    const int previous_length = engine->length();
     if (previous_length <= 0) break;
     const ObsSpan pass_span = obs.span("compact.pass");
     obs.count("compaction.passes");
     obs.emit(PassStartEvent{pass, previous_length});
 
-    const std::vector<NodeId> rotated = engine.rotate();
+    const std::vector<NodeId> rotated = engine->rotate();
     if (obs.metrics != nullptr)
       obs.metrics->add("rotation.nodes",
                        static_cast<long long>(rotated.size()));
     if (obs.tracing()) obs.emit(RotationEvent{pass, rotated});
 
     const std::optional<int> remapped =
-        engine.remap(rotated, previous_length, options.policy,
-                     options.selection, obs);
+        engine->remap(rotated, previous_length, options.policy,
+                      options.selection, obs);
+    result.remap_stats = engine->stats();
     if (!remapped) {
       // Without relaxation a pass that cannot keep the length is abandoned;
       // the configuration would repeat forever, so the loop ends (the paper:
       // "the remapping phase does not occur in this case").
-      engine.rollback();
+      engine->rollback();
       result.length_trace.push_back(previous_length);
       obs.count("compaction.rollbacks");
       obs.emit(RollbackEvent{pass, previous_length,
@@ -92,14 +94,14 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
       break;
     }
 
-    engine.commit();
+    engine->commit();
     result.length_trace.push_back(*remapped);
 
     const bool improved = *remapped < result.best.length();
     if (improved) {
-      result.best = engine.table();
-      result.retimed_graph = engine.graph();
-      result.retiming = engine.retiming();
+      result.best = engine->table();
+      result.retimed_graph = engine->graph();
+      result.retiming = engine->retiming();
       result.best_pass = pass;
       stale_passes = 0;
       obs.count("compaction.improved_passes");
@@ -110,9 +112,20 @@ CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
         PassEndEvent{pass, *remapped, improved, result.best.length()});
   }
 
-  result.remap_stats = engine.stats();
   CCS_ENSURES(result.best.length() <= startup.length());
   return result;
+}
+
+CycloCompactionResult cyclo_compact(const Csdfg& g, const Topology& topo,
+                                    const CommModel& comm,
+                                    const CycloCompactionOptions& options,
+                                    const ObsContext& obs) {
+  g.require_legal();
+  const ScopedTimer timer(obs.metrics, "time.compaction");
+  const ObsSpan run_span = obs.span("compact");
+  const ScheduleTable startup =
+      start_up_schedule(g, topo, comm, options.startup, obs);
+  return compact_from(g, comm, startup, options, obs);
 }
 
 }  // namespace ccs

@@ -16,9 +16,8 @@
 // ("the remapping scheme with relaxation yields the better result").
 #pragma once
 
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
@@ -53,6 +52,9 @@ struct CycloCompactionOptions {
   /// backends are placement-for-placement identical (the differential test
   /// and the certifier enforce it); kNaive is the preserved v1 referee.
   RemapBackend remap_backend = default_remap_backend();
+
+  friend bool operator==(const CycloCompactionOptions&,
+                         const CycloCompactionOptions&) = default;
 };
 
 /// Everything a caller needs to audit a cyclo-compaction run.
@@ -89,6 +91,33 @@ struct CycloCompactionResult {
   [[nodiscard]] int startup_length() const { return startup.length(); }
   [[nodiscard]] int best_length() const { return best.length(); }
 };
+
+/// Watches the pass loop of compact_from at its pass boundaries.  Because
+/// the loop is deterministic, a run configured for z passes is exactly the
+/// first z passes of a longer run of the same configuration; the portfolio
+/// engine uses this hook to take the results of the shorter runs from the
+/// longer one.
+class PassBoundaryObserver {
+public:
+  virtual ~PassBoundaryObserver() = default;
+  /// Called before every pass, ahead of the budget check.  `passes_done`
+  /// passes have run, and `so_far` (including remap_stats) is exactly what
+  /// a run configured for `passes_done` passes would have returned.
+  virtual void at_boundary(int passes_done,
+                           const CycloCompactionResult& so_far) = 0;
+};
+
+/// The pass loop of cyclo-compaction: up to z rotate-remap passes from the
+/// start-up table `startup` of `g` (as start_up_schedule(g, ...,
+/// options.startup) returns it), with `options.budget` checked at every
+/// pass boundary.  The RemapEngine is built only once the first pass is
+/// allowed to run, so a run stopped at pass 1 costs a table copy.  Emits
+/// the pass events and counters cyclo_compact documents, but no startup
+/// event, span or timer.
+[[nodiscard]] CycloCompactionResult compact_from(
+    const Csdfg& g, const CommModel& comm, const ScheduleTable& startup,
+    const CycloCompactionOptions& options, const ObsContext& obs = {},
+    PassBoundaryObserver* observer = nullptr);
 
 /// Runs start-up scheduling followed by z rotate-remap passes of
 /// cyclo-compaction on machine `topo` under `comm`.  Deterministic; throws

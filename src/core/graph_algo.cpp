@@ -54,8 +54,8 @@ DagTiming compute_dag_timing(const Csdfg& g) {
 
   t.critical_path = 0;
   for (NodeId v = 0; v < n; ++v)
-    t.critical_path =
-        std::max(t.critical_path, t.asap_cb[v] + (g.node(v).time - 1));
+    t.critical_path = std::max(t.critical_path,
+                               t.asap_cb[v] + (g.node(v).time - 1LL));
 
   t.alap_cb.assign(n, 0);
   for (NodeId v = 0; v < n; ++v)

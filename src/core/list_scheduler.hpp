@@ -40,6 +40,9 @@ struct StartUpOptions {
   /// homogeneous.  When non-empty, the size must equal the topology's
   /// processor count.
   std::vector<int> pe_speeds;
+
+  friend bool operator==(const StartUpOptions&,
+                         const StartUpOptions&) = default;
 };
 
 /// Runs the start-up scheduling algorithm of Section 3.1 on `g` for the

@@ -57,7 +57,10 @@ void Retiming::apply(Csdfg& g) const {
   for (EdgeId e = 0; e < g.edge_count(); ++e) g.set_delay(e, new_delay[e]);
 }
 
-int clock_period(const Csdfg& g) { return compute_dag_timing(g).critical_path; }
+int clock_period(const Csdfg& g) {
+  g.require_legal();  // a critical path beyond int is CCS-G009
+  return static_cast<int>(compute_dag_timing(g).critical_path);
+}
 
 namespace {
 

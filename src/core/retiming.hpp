@@ -66,7 +66,8 @@ private:
 
 /// The clock period of a CSDFG: the maximum total computation time along any
 /// zero-delay path (what a synchronous implementation of one iteration
-/// requires; equals the zero-delay-DAG critical path).
+/// requires; equals the zero-delay-DAG critical path).  Throws GraphError
+/// if `g` is illegal, HorizonError (CCS-G009) if the period exceeds int.
 [[nodiscard]] int clock_period(const Csdfg& g);
 
 /// Result of min-period retiming.

@@ -72,37 +72,157 @@ struct SharedState {
   std::mutex mu;
   int incumbent_length = std::numeric_limits<int>::max();
   std::size_t incumbent_attempt = 0;
+
+  /// Offers attempt `i`'s best length as the incumbent.
+  void publish(int length, std::size_t i) {
+    const std::scoped_lock lock(mu);
+    if (length < incumbent_length ||
+        (length == incumbent_length && i < incumbent_attempt)) {
+      incumbent_length = length;
+      incumbent_attempt = i;
+    }
+  }
 };
 
-/// The winner-preserving preemption rule (see portfolio.hpp): an attempt
-/// stops early only when (a) its own best already sits on the lower bound —
-/// no further pass can improve it — or (b) a *smaller-indexed* attempt has
-/// published an incumbent at the lower bound, in which case this attempt
-/// loses every possible tie-break and its remaining passes are dead work.
-/// Any user-supplied token from the base configuration is honored as well.
-class IncumbentStopToken final : public BudgetStopToken {
+/// True when two attempts differ at most in their pass count, so that one
+/// compaction run serves both: the pass loop is deterministic, and a run of
+/// z passes is the first z passes of any longer run.
+bool same_run(const CycloCompactionOptions& a,
+              const CycloCompactionOptions& b) {
+  CycloCompactionOptions a_at_b = a;
+  a_at_b.passes = b.passes;
+  return a_at_b == b;
+}
+
+/// The attempts one compaction run serves, in ascending attempt order.
+/// members[0] is the source: its worker runs the group, and its trace
+/// carries the run.
+struct Group {
+  std::vector<std::size_t> members;
+  std::vector<int> passes;  ///< Effective pass count of each member.
+  std::size_t startup = 0;  ///< Index into the start-up memo.
+};
+
+using AttemptResults = std::vector<std::optional<CycloCompactionResult>>;
+
+/// One group's run: the winner-preserving preemption rule (see
+/// portfolio.hpp) plus the hand-out of each member's result at its own
+/// pass count.  The run stops early only when (a) its best already sits on
+/// the lower bound — no further pass can improve it — or (b) a
+/// smaller-indexed attempt has published an incumbent at the lower bound
+/// ahead of every member that still needs passes: those members lose every
+/// possible tie-break, so their remaining passes are dead work.  Any
+/// user-supplied token from the base configuration is honored as well.
+class GroupRun final : public BudgetStopToken, public PassBoundaryObserver {
 public:
-  IncumbentStopToken(SharedState& shared, int lower_bound, std::size_t attempt,
-                     const BudgetStopToken* user)
-      : shared_(shared),
+  GroupRun(const Group& group, AttemptResults& results, SharedState& shared,
+           int lower_bound, const BudgetStopToken* user)
+      : group_(group),
+        results_(results),
+        shared_(shared),
         lower_bound_(lower_bound),
-        attempt_(attempt),
-        user_(user) {}
+        user_(user),
+        first_live_(group.members.front()) {}
 
   [[nodiscard]] bool stop_requested(int current_best) const override {
     if (user_ != nullptr && user_->stop_requested(current_best)) return true;
     if (current_best <= lower_bound_) return true;
     const std::scoped_lock lock(shared_.mu);
     return shared_.incumbent_length <= lower_bound_ &&
-           shared_.incumbent_attempt < attempt_;
+           shared_.incumbent_attempt < first_live_;
+  }
+
+  void at_boundary(int passes_done,
+                   const CycloCompactionResult& so_far) override {
+    for (std::size_t k = 0; k < group_.members.size(); ++k)
+      if (group_.passes[k] == passes_done)
+        take(group_.members[k], CycloCompactionResult(so_far));
+  }
+
+  /// Hands the run's final result to every member still waiting for it.
+  void finish(CycloCompactionResult&& last) {
+    std::vector<std::size_t> waiting;
+    for (const std::size_t i : group_.members)
+      if (!results_[i]) waiting.push_back(i);
+    for (std::size_t w = 0; w < waiting.size(); ++w)
+      take(waiting[w], w + 1 == waiting.size() ? std::move(last)
+                                               : CycloCompactionResult(last));
   }
 
 private:
+  void take(std::size_t i, CycloCompactionResult&& result) {
+    shared_.publish(result.best.length(), i);
+    results_[i].emplace(std::move(result));
+    // Members ascend, so the first one still waiting is the smallest.
+    first_live_ = std::numeric_limits<std::size_t>::max();
+    for (const std::size_t m : group_.members)
+      if (!results_[m]) {
+        first_live_ = m;
+        break;
+      }
+  }
+
+  const Group& group_;
+  AttemptResults& results_;
   SharedState& shared_;
   int lower_bound_;
-  std::size_t attempt_;
   const BudgetStopToken* user_;
+  /// Smallest member index still waiting for passes.
+  std::size_t first_live_;
 };
+
+/// Partitions the roster into groups (see same_run), ordered by source, and
+/// lists the distinct start-up configurations in `startups`.
+std::vector<Group> group_attempts(const Csdfg& g,
+                                  const std::vector<AttemptConfig>& roster,
+                                  std::vector<StartUpOptions>& startups) {
+  const int default_passes =
+      3 * static_cast<int>(std::max<std::size_t>(1, g.node_count()));
+  std::vector<Group> groups;
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    const CycloCompactionOptions& o = roster[i].options;
+    const int passes = o.passes > 0 ? o.passes : default_passes;
+    const auto same =
+        std::find_if(groups.begin(), groups.end(), [&](const Group& group) {
+          return same_run(roster[group.members.front()].options, o);
+        });
+    if (same != groups.end()) {
+      same->members.push_back(i);
+      same->passes.push_back(passes);
+      continue;
+    }
+    auto memo = std::find(startups.begin(), startups.end(), o.startup);
+    if (memo == startups.end()) memo = startups.insert(memo, o.startup);
+    groups.push_back(
+        {{i}, {passes}, static_cast<std::size_t>(memo - startups.begin())});
+  }
+  return groups;
+}
+
+/// The row of an attempt that an earlier attempt's lower-bound incumbent
+/// preempts at its first pass boundary: it returns its start-up table.
+AttemptOutcome preempted_row(const CycloCompactionResult& run) {
+  AttemptOutcome row;
+  row.length = run.startup.length();
+  row.startup_length = run.startup.length();
+  row.stop_reason = "preempted";
+  row.pruned = true;
+  row.engine_backend = run.backend;
+  return row;
+}
+
+AttemptOutcome row_of(const CycloCompactionResult& run) {
+  AttemptOutcome row;
+  row.length = run.best.length();
+  row.startup_length = run.startup.length();
+  row.best_pass = run.best_pass;
+  row.stop_reason = run.stop_reason;
+  row.pruned = run.stop_reason == "preempted";
+  row.remap_slots_scanned = run.remap_stats.slots_scanned;
+  row.an_evaluations = run.remap_stats.an_evaluations;
+  row.engine_backend = run.backend;
+  return row;
+}
 
 /// Lower-case metric suffix of a CCS-B code: "CCS-B001" -> "b001".
 std::string bound_metric_suffix(std::string_view code) {
@@ -196,14 +316,28 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   const CompositeBound bound = compute_bounds(g, topo, comm, opt.base);
   const int lower_bound = std::max(1, bound.value);
 
+  std::vector<StartUpOptions> startup_options;
+  const std::vector<Group> groups =
+      group_attempts(g, roster, startup_options);
+
+  // One start-up table per distinct StartUpOptions, built by the first
+  // group that needs it.
+  struct StartUpMemo {
+    std::once_flag once;
+    std::optional<ScheduleTable> table;
+  };
+  std::vector<StartUpMemo> startups(startup_options.size());
+
+  // Each group's run records into its own observability slot, so the hot
+  // path never contends on the caller's; merged in attempt order below.
   struct Slot {
-    std::optional<CycloCompactionResult> result;
     std::vector<std::string> trace_lines;
     MetricsRegistry metrics;
     SpanProfiler profiler;
     std::exception_ptr error;
   };
-  std::vector<Slot> slots(roster.size());
+  std::vector<Slot> slots(groups.size());
+  AttemptResults results(roster.size());
 
   SharedState shared;
   std::atomic<std::size_t> next{0};
@@ -211,48 +345,44 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   const bool want_metrics = obs.metrics != nullptr;
   const bool want_profile = obs.profiling();
 
-  const auto run_attempt = [&](std::size_t i) {
-    Slot& slot = slots[i];
+  const auto run_group = [&](std::size_t k) {
+    const Group& group = groups[k];
+    const std::size_t source = group.members.front();
+    Slot& slot = slots[k];
     try {
-      CycloCompactionOptions options = roster[i].options;
-      const IncumbentStopToken token(shared, lower_bound, i,
-                                     options.budget.stop);
-      options.budget.stop = &token;
-
-      ObsContext attempt_obs;
-      if (want_metrics) attempt_obs.metrics = &slot.metrics;
+      ObsContext run_obs;
+      if (want_metrics) run_obs.metrics = &slot.metrics;
       VectorSink sink;
       Tracer tracer(&sink);
       if (want_traces) {
-        tracer.set_attempt(static_cast<int>(i));
-        attempt_obs.tracer = &tracer;
+        tracer.set_attempt(static_cast<int>(source));
+        run_obs.tracer = &tracer;
       }
       if (want_profile) {
-        // Each attempt records into its own profiler so the hot path never
-        // contends on the caller's; absorbed in attempt order after join.
-        slot.profiler.set_attempt(static_cast<int>(i));
-        attempt_obs.profiler = &slot.profiler;
+        slot.profiler.set_attempt(static_cast<int>(source));
+        run_obs.profiler = &slot.profiler;
       }
       // The attempt span must close before sink.lines() is harvested, or
       // its span_end line would miss the attempt's trace stream.
-      std::optional<CycloCompactionResult> run;
       {
-        const ObsSpan attempt_span = attempt_obs.span("portfolio.attempt");
-        run.emplace(cyclo_compact(g, topo, comm, options, attempt_obs));
-      }
-      CycloCompactionResult& result = *run;
+        const ObsSpan attempt_span = run_obs.span("portfolio.attempt");
+        const ScopedTimer compaction_timer(run_obs.metrics,
+                                           "time.compaction");
+        const ObsSpan run_span = run_obs.span("compact");
+        StartUpMemo& memo = startups[group.startup];
+        std::call_once(memo.once, [&] {
+          memo.table.emplace(start_up_schedule(
+              g, topo, comm, startup_options[group.startup], run_obs));
+        });
 
-      {
-        const std::scoped_lock lock(shared.mu);
-        const int length = result.best.length();
-        if (length < shared.incumbent_length ||
-            (length == shared.incumbent_length &&
-             i < shared.incumbent_attempt)) {
-          shared.incumbent_length = length;
-          shared.incumbent_attempt = i;
-        }
+        CycloCompactionOptions options = roster[source].options;
+        options.passes =
+            *std::max_element(group.passes.begin(), group.passes.end());
+        GroupRun run(group, results, shared, lower_bound,
+                     options.budget.stop);
+        options.budget.stop = &run;
+        run.finish(compact_from(g, comm, *memo.table, options, run_obs, &run));
       }
-      slot.result.emplace(std::move(result));
       if (want_traces) slot.trace_lines = sink.lines();
     } catch (...) {
       slot.error = std::current_exception();
@@ -261,9 +391,9 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
 
   const auto worker = [&] {
     while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= roster.size()) break;
-      run_attempt(i);
+      const std::size_t k = next.fetch_add(1);
+      if (k >= groups.size()) break;
+      run_group(k);
     }
   };
 
@@ -273,7 +403,7 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
         std::max(1u, std::thread::hardware_concurrency()));
   }
   const std::size_t pool_size = std::min<std::size_t>(
-      static_cast<std::size_t>(jobs), roster.size());
+      static_cast<std::size_t>(jobs), groups.size());
   if (pool_size <= 1) {
     worker();
   } else {
@@ -283,50 +413,75 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
     for (std::thread& t : pool) t.join();
   }
 
-  // First failure by attempt index wins the rethrow — deterministic even
-  // when several attempts failed in parallel.
+  // First failure by source index wins the rethrow — deterministic even
+  // when several groups failed in parallel.
   for (const Slot& slot : slots)
     if (slot.error) std::rethrow_exception(slot.error);
 
-  // Merge worker observability into the caller's context in attempt order,
-  // so the merged stream and counters are independent of completion order.
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (want_metrics) obs.metrics->merge(slots[i].metrics);
-    if (want_traces)
-      for (const std::string& line : slots[i].trace_lines)
-        obs.tracer->emit_raw(line);
-    if (want_profile) obs.profiler->absorb(slots[i].profiler);
+  // The rows, in attempt order.  An attempt after one that reached the
+  // lower bound gets the row jobs=1 gives it — preempted at its first pass
+  // boundary — even where a shared run computed more for it.
+  std::vector<AttemptOutcome> attempts;
+  attempts.reserve(roster.size());
+  std::vector<int> passes_run(roster.size(), 0);
+  bool earlier_at_bound = false;
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    AttemptOutcome row = earlier_at_bound ? preempted_row(*results[i])
+                                          : row_of(*results[i]);
+    if (!earlier_at_bound)
+      passes_run[i] = static_cast<int>(results[i]->length_trace.size());
+    row.label = roster[i].label;
+    earlier_at_bound = earlier_at_bound || row.length <= lower_bound;
+    attempts.push_back(std::move(row));
   }
 
   // The winner: smallest best length, ties to the smallest attempt index.
+  // A corrected row never wins: the attempt that reached the bound before
+  // it does.
   std::size_t winner_index = 0;
-  for (std::size_t i = 1; i < slots.size(); ++i) {
-    if (slots[i].result->best.length() <
-        slots[winner_index].result->best.length())
-      winner_index = i;
+  for (std::size_t i = 1; i < attempts.size(); ++i)
+    if (attempts[i].length < attempts[winner_index].length) winner_index = i;
+  attempts[winner_index].winner = true;
+
+  // Merge observability into the caller's context in attempt order, so the
+  // merged stream and counters are independent of completion order.  A
+  // derived attempt did no work of its own; it contributes one event naming
+  // its source and the pass its result was taken after.
+  std::vector<std::size_t> group_of(roster.size());
+  for (std::size_t k = 0; k < groups.size(); ++k)
+    for (const std::size_t i : groups[k].members) group_of[i] = k;
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    const std::size_t source = groups[group_of[i]].members.front();
+    if (source == i) {
+      Slot& slot = slots[group_of[i]];
+      if (want_metrics) obs.metrics->merge(slot.metrics);
+      if (want_traces)
+        for (const std::string& line : slot.trace_lines)
+          obs.tracer->emit_raw(line);
+      if (want_profile) obs.profiler->absorb(slot.profiler);
+      continue;
+    }
+    if (!want_traces && !want_profile) continue;
+    VectorSink sink;
+    Tracer tracer(&sink);
+    tracer.set_attempt(static_cast<int>(i));
+    SpanProfiler profiler;
+    profiler.set_attempt(static_cast<int>(i));
+    const ObsContext derived_obs{want_traces ? &tracer : nullptr, nullptr,
+                                 want_profile ? &profiler : nullptr};
+    {
+      const ObsSpan attempt_span = derived_obs.span("portfolio.attempt");
+      derived_obs.emit(AttemptDerivedEvent{
+          static_cast<int>(source), passes_run[i], attempts[i].length,
+          attempts[i].stop_reason});
+    }
+    if (want_traces)
+      for (const std::string& line : sink.lines()) obs.tracer->emit_raw(line);
+    if (want_profile) obs.profiler->absorb(profiler);
   }
 
-  // Provenance is harvested before the winner is moved out of its slot.
-  std::vector<AttemptOutcome> attempts;
-  attempts.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const CycloCompactionResult& run = *slots[i].result;
-    AttemptOutcome row;
-    row.label = roster[i].label;
-    row.length = run.best.length();
-    row.startup_length = run.startup.length();
-    row.best_pass = run.best_pass;
-    row.stop_reason = run.stop_reason;
-    row.pruned = run.stop_reason == "preempted";
-    row.winner = i == winner_index;
-    row.remap_slots_scanned = run.remap_stats.slots_scanned;
-    row.an_evaluations = run.remap_stats.an_evaluations;
-    row.engine_backend = run.backend;
-    attempts.push_back(std::move(row));
-  }
-  const int serial_length = slots[0].result->best.length();
-
-  PortfolioResult result{std::move(*slots[winner_index].result),
+  const int serial_length = attempts[0].length;
+  PortfolioResult result{std::move(*results[winner_index]),
                          0,  {}, 0, 0, {}, true, {}, {}};
   result.winner_attempt = winner_index;
   result.winner_label = roster[winner_index].label;
@@ -344,7 +499,8 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
     result.certification.finalize();
   }
 
-  obs.count("portfolio.attempts", static_cast<long long>(slots.size()));
+  obs.count("portfolio.attempts", static_cast<long long>(roster.size()));
+  obs.count("portfolio.compaction_runs", static_cast<long long>(groups.size()));
   long long pruned = 0;
   for (const AttemptOutcome& row : result.attempts)
     if (row.pruned) ++pruned;

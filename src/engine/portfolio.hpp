@@ -4,8 +4,18 @@
 // start-up priority × pass budget) is small, cheap per point, and has no
 // reliable a-priori winner: the paper's own experiments flip between
 // configurations per workload and per architecture.  The portfolio engine
-// embraces that: it runs N independently-configured attempts on a worker
-// pool and returns the best schedule found, with per-attempt provenance.
+// embraces that: it evaluates N configured attempts on a worker pool and
+// returns the best schedule found, with per-attempt provenance.
+//
+// Shared runs: Cyclo-Compact(G, z) is deterministic, so a run of z passes
+// is exactly the first z passes of a longer run of the same configuration.
+// Attempts that differ only in their pass count form one group, run once
+// (compact_from) for the group's largest count; each shorter member takes
+// the run's result after its own pass count (PassBoundaryObserver).  One
+// start-up table is built per distinct StartUpOptions.  The group's
+// smallest attempt index is its source: the unit of parallel work, and the
+// owner of the run's trace.  Rows and winners are exactly those of running
+// every attempt on its own.
 //
 // Attempt roster (portfolio_attempts):
 //   * attempt 0 is exactly the caller's base configuration — the serial
@@ -22,18 +32,23 @@
 // winning schedule is bit-identical across runs and across --jobs values.
 // The winner is the attempt with the smallest best length, ties broken by
 // the smallest attempt index — never by completion order.  Incumbent
-// pruning preserves this because a worker is only preempted (via the
+// pruning preserves this because a run is only preempted (via the
 // RunBudget's BudgetStopToken hook) when the shared incumbent has already
 // reached the schedule-length lower bound *and* belongs to a smaller
-// attempt index: such an attempt provably cannot win the tie-break, so
-// cutting it short cannot change the winner.  Provenance rows of pruned
-// losers (their stop_reason / pass counts) are the one thing the contract
-// does not cover across different --jobs values.
+// attempt index than every member still needing passes: such members
+// provably cannot win the tie-break, so cutting them short cannot change
+// the winner.  The rows follow the jobs=1 rule at every --jobs value: an
+// attempt after one whose best reached the lower bound reports "preempted"
+// at its first pass boundary with its start-up table.  With a stateless
+// user stop token (one that answers from the best length alone) and no
+// deadline, every row is therefore identical across --jobs too.
 //
-// Observability: each worker runs with its own Tracer (tagged with the
-// attempt index) and MetricsRegistry; after the join the engine merges
-// metrics and splices trace lines into the caller's ObsContext in attempt
-// order, then adds the portfolio.* counters (docs/OBSERVABILITY.md).
+// Observability: each group runs with its own Tracer (tagged with its
+// source's attempt index), MetricsRegistry and SpanProfiler; after the
+// join the engine merges them into the caller's ObsContext in attempt
+// order.  A derived attempt adds one attempt_derived event naming its
+// source and pass; then come the portfolio.* counters
+// (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstddef>
@@ -52,7 +67,7 @@ namespace ccs {
 
 /// Configuration of the portfolio engine.
 struct PortfolioOptions {
-  /// Worker threads; 1 runs every attempt inline on the caller's thread
+  /// Worker threads; 1 runs every group inline on the caller's thread
   /// (still the same winner, by the determinism contract), 0 asks the
   /// hardware (std::thread::hardware_concurrency).
   int jobs = 1;
@@ -141,8 +156,8 @@ struct PortfolioResult {
 
 /// Runs the portfolio on `opt.jobs` workers and returns the best attempt.
 /// Deterministic winner (see the contract above); throws GraphError if `g`
-/// is illegal, and rethrows the first (by attempt index) exception any
-/// attempt raised.  `obs` receives merged metrics, attempt-tagged trace
+/// is illegal, and rethrows the first (by source index) exception any
+/// group run raised.  `obs` receives merged metrics, attempt-tagged trace
 /// lines in attempt order, the portfolio.* counters/gauges, and the
 /// time.portfolio timer.
 [[nodiscard]] PortfolioResult portfolio_compact(

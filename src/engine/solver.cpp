@@ -20,6 +20,8 @@ namespace ccs {
 namespace {
 
 constexpr const char* kRequestSpan = "<request>";
+/// Findings about the request's graph; sorts ahead of kRequestSpan.
+constexpr const char* kGraphSpan = "<graph>";
 
 void add_invalid(DiagnosticBag& bag, const std::string& message) {
   bag.add("CCS-E001", SourceSpan{kRequestSpan, 0}, message);
@@ -368,6 +370,10 @@ SolveResponse Solver::solve(const SolveRequest& request) const {
                            std::make_shared<SolveResponse>(res));
     }
   } catch (const Error& e) {
+    // A refusal with its own stable code names it ahead of the summary.
+    const std::string_view code = diagnostic_code(e, {});
+    if (!code.empty())
+      res.diagnostics.add(code, SourceSpan{kGraphSpan, 0}, e.what());
     add_invalid(res.diagnostics, e.what());
     res.status = SolveStatus::kInvalidRequest;
   } catch (const std::exception& e) {

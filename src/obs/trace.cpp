@@ -138,6 +138,16 @@ void Tracer::emit(const RepairEvent& e) {
                    .close());
 }
 
+void Tracer::emit(const AttemptDerivedEvent& e) {
+  if (!sink_) return;
+  sink_->write(header(seq_++, attempt_, "attempt_derived")
+                   .field("source", e.source)
+                   .field("pass", e.pass)
+                   .field("best_length", e.best_length)
+                   .field("reason", e.reason)
+                   .close());
+}
+
 void Tracer::emit(const BudgetEvent& e) {
   if (!sink_) return;
   sink_->write(header(seq_++, attempt_, "budget_exhausted")

@@ -164,6 +164,17 @@ struct BudgetEvent {
   int best_length = 0;  ///< Best length at the stop.
 };
 
+/// A portfolio attempt took its result from another attempt's compaction
+/// run instead of running its own (engine/portfolio.hpp): the attempts
+/// differ only in their pass count, so this one's result is the source run
+/// after `pass` passes.
+struct AttemptDerivedEvent {
+  int source = 0;       ///< Attempt index whose worker ran the compaction.
+  int pass = 0;         ///< Passes of that run the result was taken after.
+  int best_length = 0;  ///< The attempt's best length.
+  std::string reason;   ///< The attempt's stop reason ("" = ran out).
+};
+
 /// A profiler span opened (obs/span.hpp).  Emitted only when a span
 /// profiler is active alongside the tracer; timestamps are monotonic
 /// nanoseconds from the process profiling epoch, so these events are
@@ -226,6 +237,7 @@ public:
   void emit(const FaultEvent& e);
   void emit(const RepairEvent& e);
   void emit(const BudgetEvent& e);
+  void emit(const AttemptDerivedEvent& e);
   void emit(const SpanBeginEvent& e);
   void emit(const SpanEndEvent& e);
 

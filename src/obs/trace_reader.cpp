@@ -138,7 +138,8 @@ struct Scanner {
     if (c == '[') {
       ++pos;
       f.kind = TraceField::Kind::kArray;
-      f.text = "[";
+      // A fill, not = "[": GCC 12 -Wrestrict false positive (bug 105651).
+      f.text.assign(1, '[');
       skip_ws();
       if (eat(']')) {
         f.text += ']';

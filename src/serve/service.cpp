@@ -25,6 +25,7 @@
 #include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "robust/deadline.hpp"
+#include "util/error.hpp"
 
 #ifndef _WIN32
 #include <poll.h>
@@ -318,7 +319,8 @@ ServeResponseFields handle_solve(Service& s, const Solver& solver,
   try {
     base = build_solve_request(r);
   } catch (const std::exception& e) {
-    return refusal(r.id, job.seq, "error", "CCS-E001", e.what());
+    return refusal(r.id, job.seq, "error", diagnostic_code(e, "CCS-E001"),
+                   e.what());
   }
   if (std::optional<SolveResponse> cached = solver.try_cached(base)) {
     s.cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -331,7 +333,8 @@ ServeResponseFields handle_solve(Service& s, const Solver& solver,
     try {
       return answer_bound_only(r, job.seq);
     } catch (const std::exception& e) {
-      return refusal(r.id, job.seq, "error", "CCS-E001", e.what());
+      return refusal(r.id, job.seq, "error", diagnostic_code(e, "CCS-E001"),
+                     e.what());
     }
   }
 

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ccs {
 
@@ -25,6 +26,23 @@ class GraphError : public Error {
 public:
   using Error::Error;
 };
+
+/// A legal CSDFG whose start-up horizon — the zero-delay critical path,
+/// Csdfg::startup_horizon() — does not fit in the int control steps of a
+/// schedule table.  Reported as the stable diagnostic CCS-G009.
+class HorizonError : public GraphError {
+public:
+  using GraphError::GraphError;
+  static constexpr std::string_view kCode = "CCS-G009";
+};
+
+/// The stable diagnostic code `e` stands for: HorizonError::kCode for a
+/// HorizonError, `fallback` for anything else.
+inline std::string_view diagnostic_code(const std::exception& e,
+                                        std::string_view fallback) {
+  return dynamic_cast<const HorizonError*>(&e) != nullptr ? HorizonError::kCode
+                                                          : fallback;
+}
 
 /// An architecture description is malformed (disconnected topology, bad
 /// dimensions, unknown processor index).

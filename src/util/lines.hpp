@@ -11,6 +11,7 @@
 #include <charconv>
 #include <concepts>
 #include <string>
+#include <string_view>
 
 namespace ccs {
 
@@ -39,6 +40,19 @@ std::size_t decimal_width(Int value) {
   char buf[24];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
   return static_cast<std::size_t>(end - buf);
+}
+
+/// `prefix` followed by the decimal form of `value`: numbered("n", 7) is
+/// "n7".  Built by appending into the prefix; GCC 12 at -O3 misreports
+/// `"n" + std::to_string(v)` as an overlapping memcpy (-Wrestrict, GCC
+/// bug 105651), which -Werror turns into a build failure.
+template <std::integral Int>
+std::string numbered(std::string_view prefix, Int value) {
+  std::string out;
+  out.reserve(prefix.size() + decimal_width(value));
+  out.append(prefix);
+  append_decimal(out, value);
+  return out;
 }
 
 }  // namespace ccs

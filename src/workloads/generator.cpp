@@ -6,6 +6,7 @@
 
 #include "util/contracts.hpp"
 #include "util/error.hpp"
+#include "util/lines.hpp"
 
 namespace ccs {
 
@@ -20,7 +21,7 @@ Csdfg random_csdfg(const RandomDfgConfig& config, std::uint64_t seed) {
     throw GraphError("random_csdfg: extra_edge_prob outside [0,1]");
 
   Rng rng(seed);
-  Csdfg g("random_s" + std::to_string(seed));
+  Csdfg g(numbered("random_s", seed));
 
   // Assign nodes to layers: one guaranteed per layer, the rest uniform.
   std::vector<std::size_t> layer_of(config.num_nodes);
@@ -31,7 +32,7 @@ Csdfg random_csdfg(const RandomDfgConfig& config, std::uint64_t seed) {
 
   std::vector<std::vector<NodeId>> layers(config.num_layers);
   for (std::size_t i = 0; i < config.num_nodes; ++i) {
-    const NodeId v = g.add_node("n" + std::to_string(i),
+    const NodeId v = g.add_node(numbered("n", i),
                                 rng.uniform_int(1, config.max_time));
     layers[layer_of[i]].push_back(v);
   }

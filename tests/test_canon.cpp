@@ -20,6 +20,7 @@
 #include "arch/route_cache.hpp"
 #include "arch/topology.hpp"
 #include "io/text_format.hpp"
+#include "util/lines.hpp"
 #include "workloads/library.hpp"
 
 namespace ccs {
@@ -174,7 +175,7 @@ TEST(Canon, NameChangesDoNotChangeFingerprint) {
   const Csdfg g = paper_example6();
   Csdfg renamed("totally_different_name");
   for (NodeId v = 0; v < g.node_count(); ++v)
-    renamed.add_node("task" + std::to_string(v), g.node(v).time);
+    renamed.add_node(numbered("task", v), g.node(v).time);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& ed = g.edge(e);
     renamed.add_edge(ed.from, ed.to, ed.delay, ed.volume);
@@ -215,7 +216,7 @@ TEST(Canon, FanOutAutomorphismsAndOrbits) {
   Csdfg g("fan");
   const NodeId src = g.add_node("src", 1);
   for (int i = 1; i <= 4; ++i)
-    g.add_edge(src, g.add_node("f" + std::to_string(i), 2), 0, 1);
+    g.add_edge(src, g.add_node(numbered("f", i), 2), 0, 1);
   const CanonResult canon = canonicalize(g);
   EXPECT_TRUE(canon.complete);
   EXPECT_EQ(canon.automorphism_count, 24ull);

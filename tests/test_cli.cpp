@@ -78,6 +78,27 @@ TEST(Cli, OneHugeDelayIsAnsweredExactly) {
   }
 }
 
+TEST(Cli, HorizonBeyondIntIsRefusedWithItsCode) {
+  // A -> B with no delay: a 4e9-step critical path (CCS-G009), which used
+  // to abort every command but bound.
+  const std::string path = std::string(CCS_EXAMPLES_DATA_DIR) +
+                           "/bad/g009_horizon_overflow.csdfg";
+  const CliResult lint = cli({"lint", path});
+  EXPECT_EQ(lint.code, 1) << lint.err;
+  EXPECT_NE(lint.out.find("CCS-G009"), std::string::npos) << lint.out;
+  EXPECT_NE(lint.out.find("4000000000"), std::string::npos) << lint.out;
+  const CliResult analyze = cli({"analyze", path, "--arch", "mesh 2 2"});
+  EXPECT_EQ(analyze.code, 1) << analyze.err;
+  EXPECT_NE(analyze.out.find("CCS-G009"), std::string::npos) << analyze.out;
+  for (const char* command : {"schedule", "info", "bound"}) {
+    const CliResult r = cli({command, path, "--arch", "mesh 2 2"});
+    EXPECT_EQ(r.code, 1) << command << ": " << r.err;
+    EXPECT_NE(r.err.find("error: "), std::string::npos) << command;
+    EXPECT_NE(r.err.find("[CCS-G009]"), std::string::npos)
+        << command << ": " << r.err;
+  }
+}
+
 TEST(Cli, FilesAndStdinAreInterchangeable) {
   const std::string path = temp_file("demo.csdfg", kDemo);
   EXPECT_EQ(cli({"bound", path}).out, cli({"bound", "-"}, kDemo).out);

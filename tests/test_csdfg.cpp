@@ -4,6 +4,7 @@
 #include "core/csdfg.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
+#include "util/lines.hpp"
 
 namespace ccs {
 namespace {
@@ -107,7 +108,7 @@ TEST(Csdfg, LegalityDetectsZeroDelayCycles) {
 
 TEST(Csdfg, LegalityHandlesLongerCycles) {
   Csdfg g;
-  for (int i = 0; i < 4; ++i) g.add_node("n" + std::to_string(i), 1);
+  for (int i = 0; i < 4; ++i) g.add_node(numbered("n", i), 1);
   g.add_edge(0, 1, 0);
   g.add_edge(1, 2, 0);
   g.add_edge(2, 3, 0);

@@ -92,6 +92,7 @@ const CorpusCase kCorpus[] = {
     {"g006_duplicate_edge.csdfg", "CCS-G006", 7, nullptr, nullptr},
     {"g007_isolated_node.csdfg", "CCS-G007", 5, nullptr, nullptr},
     {"g008_delay_starved.csdfg", "CCS-G008", 6, nullptr, nullptr},
+    {"g009_horizon_overflow.csdfg", "CCS-G009", 0, nullptr, nullptr},
     {"a001_insufficient_processors.csdfg", "CCS-A001", 0, "linear_array 2",
      nullptr},
     {"a002_oversized_communication.csdfg", "CCS-A002", 5, "mesh 2 2",
@@ -477,8 +478,10 @@ TEST(ParseErrors, ArchitectureMessagesEchoTheFullSpec) {
       (void)parse_topology(spec);
       FAIL() << "should have thrown for '" << spec << "'";
     } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + std::string(spec) + "'"),
-                std::string::npos)
+      std::string quoted = "'";
+      quoted += spec;
+      quoted += '\'';
+      EXPECT_NE(std::string(e.what()).find(quoted), std::string::npos)
           << e.what();
     }
   }

@@ -12,6 +12,7 @@
 #include "engine/solve_cache.hpp"
 #include "io/serve_codec.hpp"
 #include "serve/service.hpp"
+#include "util/lines.hpp"
 
 namespace ccs {
 namespace {
@@ -118,6 +119,23 @@ TEST(Serve, AnswersEveryLineInOrder) {
   EXPECT_EQ(r.summary.answered, 3);
   EXPECT_EQ(r.summary.parse_errors, 1);
   EXPECT_EQ(r.summary.stop_cause, "eof");
+}
+
+TEST(Serve, HorizonBeyondIntIsAnsweredWithItsCode) {
+  SolveCache::global().clear();
+  ServeOptions o;
+  const char* horizon =
+      "graph h\nnode a 2000000000\nnode b 2000000000\nedge a b 0 1\n"
+      "edge b a 1 1\n";
+  const ServeRun r = run(solve_line("h", horizon) + "\n" +
+                             solve_line("a", kGraphA) + "\n",
+                         o);
+  ASSERT_EQ(r.responses.size(), 2u);
+  EXPECT_EQ(field(r.responses[0], "status"), "error");
+  EXPECT_EQ(field(r.responses[0], "code"), "CCS-G009") << r.responses[0];
+  EXPECT_EQ(r.responses[0].find("contracts"), std::string::npos)
+      << r.responses[0];
+  EXPECT_EQ(field(r.responses[1], "status"), "ok");
 }
 
 TEST(Serve, SingleJobStreamIsByteDeterministic) {
@@ -330,11 +348,11 @@ TEST(ServeSoak, ThousandMixedRequestsAllAnswered) {
   std::string input;
   int lines = 0;
   for (int i = 0; i < 250; ++i) {
-    input += solve_line("s" + std::to_string(i),
+    input += solve_line(numbered("s", i),
                         i % 3 == 0 ? kGraphA : (i % 3 == 1 ? kGraphB
                                                            : kGraphC)) +
              "\n";
-    input += solve_line("d" + std::to_string(i), kGraphA,
+    input += solve_line(numbered("d", i), kGraphA,
                         ",\"deadline_ms\":" +
                             std::to_string(i % 5 == 0 ? -1 : 40)) +
              "\n";

@@ -92,6 +92,25 @@ TEST(SolverApi, IllegalGraphIsInvalidNotThrown) {
   EXPECT_FALSE(res.schedule.has_value());
 }
 
+TEST(SolverApi, HorizonBeyondIntIsRefusedWithItsCode) {
+  Csdfg g("horizon");
+  const NodeId a = g.add_node("a", 2000000000);
+  const NodeId b = g.add_node("b", 2000000000);
+  g.add_edge(a, b, 0);
+  g.add_edge(b, a, 1);
+  Solver solver;
+  SolveRequest req;
+  req.graph = g;
+  req.arch = "mesh 2 2";
+  const SolveResponse res = solver.solve(req);
+  EXPECT_EQ(res.status, SolveStatus::kInvalidRequest);
+  ASSERT_FALSE(res.diagnostics.diagnostics().empty());
+  // The specific code leads; the CCS-E001 summary follows it.
+  EXPECT_EQ(res.diagnostics.diagnostics()[0].code, "CCS-G009");
+  EXPECT_TRUE(has_code(res.diagnostics, "CCS-E001"));
+  EXPECT_FALSE(res.schedule.has_value());
+}
+
 TEST(SolverApi, WrongSpeedsVectorIsInvalid) {
   Solver solver;
   SolveRequest req;
