@@ -16,7 +16,10 @@
 // ("the remapping scheme with relaxation yields the better result").
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/comm_model.hpp"
@@ -92,32 +95,81 @@ struct CycloCompactionResult {
   [[nodiscard]] int best_length() const { return best.length(); }
 };
 
-/// Watches the pass loop of compact_from at its pass boundaries.  Because
-/// the loop is deterministic, a run configured for z passes is exactly the
-/// first z passes of a longer run of the same configuration; the portfolio
-/// engine uses this hook to take the results of the shorter runs from the
-/// longer one.
-class PassBoundaryObserver {
+/// The pass loop of cyclo-compaction as a copyable value: the RemapEngine,
+/// the result so far, the pass index, the stale-pass count and the budget
+/// clock's start.  The loop is deterministic, so what a run holds after k
+/// passes is exactly what a run configured for k passes returns; and until
+/// a with-relaxation pass first ends longer than it began, a
+/// without-relaxation run of the same configuration makes the same
+/// decisions (Definition 4.2 differs only in accepting that growth).  The
+/// portfolio engine uses both facts to serve several attempts from one run
+/// (engine/portfolio.hpp).
+///
+/// Driving it:  `while (run.admit(obs)) run.step(obs);`
+class CompactionRun {
 public:
-  virtual ~PassBoundaryObserver() = default;
-  /// Called before every pass, ahead of the budget check.  `passes_done`
-  /// passes have run, and `so_far` (including remap_stats) is exactly what
-  /// a run configured for `passes_done` passes would have returned.
-  virtual void at_boundary(int passes_done,
-                           const CycloCompactionResult& so_far) = 0;
-};
+  /// Called by step() when a with-relaxation pass accepts a length above
+  /// the one it started from, before the pass commits.
+  using GrowthHook = std::function<void(const CompactionRun&)>;
 
-/// The pass loop of cyclo-compaction: up to z rotate-remap passes from the
-/// start-up table `startup` of `g` (as start_up_schedule(g, ...,
-/// options.startup) returns it), with `options.budget` checked at every
-/// pass boundary.  The RemapEngine is built only once the first pass is
-/// allowed to run, so a run stopped at pass 1 costs a table copy.  Emits
-/// the pass events and counters cyclo_compact documents, but no startup
-/// event, span or timer.
-[[nodiscard]] CycloCompactionResult compact_from(
-    const Csdfg& g, const CommModel& comm, const ScheduleTable& startup,
-    const CycloCompactionOptions& options, const ObsContext& obs = {},
-    PassBoundaryObserver* observer = nullptr);
+  /// A run of `options` from the start-up table `startup` of `g` (as
+  /// start_up_schedule(g, ..., options.startup) returns it; options.startup
+  /// itself is never read).  No pass has run.  `g`, `comm` and the budget's
+  /// clock and stop token must outlive the run and its copies.
+  CompactionRun(const Csdfg& g, const CommModel& comm,
+                const ScheduleTable& startup,
+                const CycloCompactionOptions& options);
+
+  /// Passes run so far.
+  [[nodiscard]] int passes_done() const noexcept { return next_pass_ - 1; }
+
+  /// Exactly what a run configured for passes_done() passes returns
+  /// (remap_stats included); after admit() returned false, what this run
+  /// returns.
+  [[nodiscard]] const CycloCompactionResult& result() const noexcept {
+    return result_;
+  }
+  [[nodiscard]] CycloCompactionResult take_result() noexcept {
+    return std::move(result_);
+  }
+
+  /// The boundary before the next pass: checks `options.budget`.  False
+  /// when the run is over — its pass count is spent, a rollback ended it,
+  /// or a budget fired (which sets stop_reason and emits budget_exhausted).
+  /// The RemapEngine is built when the first pass is admitted, so a run
+  /// stopped at pass 1 costs a table copy.
+  [[nodiscard]] bool admit(const ObsContext& obs = {});
+
+  /// Runs the pass admit() let through: rotate, remap, then commit or roll
+  /// back.  Emits the pass events and counters cyclo_compact documents
+  /// (the run emits no startup event, span or timer).
+  /// `at_growth`, if set, sees the run when a with-relaxation pass grows.
+  void step(const ObsContext& obs = {}, const GrowthHook& at_growth = {});
+
+  /// Only inside a GrowthHook: a copy of the run as it stood at the
+  /// boundary before the growing pass — engine state and remap stats
+  /// included — continuing under `options`, which may differ from the
+  /// run's own only in policy, passes and budget.stop.  Its admit() checks
+  /// that boundary again under `options`; its step() then runs the pass
+  /// again.
+  [[nodiscard]] CompactionRun fork(const CycloCompactionOptions& options) const;
+
+private:
+  [[nodiscard]] const char* budget_stop() const;
+
+  const Csdfg* g_;
+  const CommModel* comm_;
+  CycloCompactionOptions options_;
+  int passes_;  ///< Effective pass count (options.passes or 3 * |V|).
+  long long start_ms_ = 0;
+  std::optional<RemapEngine> engine_;
+  CycloCompactionResult result_;
+  int next_pass_ = 1;
+  int stale_passes_ = 0;  ///< Consecutive passes without a new best.
+  bool admitted_ = false;
+  bool growing_ = false;
+  bool ended_ = false;
+};
 
 /// Runs start-up scheduling followed by z rotate-remap passes of
 /// cyclo-compaction on machine `topo` under `comm`.  Deterministic; throws

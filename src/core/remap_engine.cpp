@@ -405,6 +405,9 @@ void RemapEngine::bind(const ScheduleTable& table) {
     for (PeId a = 0; a < num_pes_; ++a)
       for (PeId b = 0; b < num_pes_; ++b)
         cost_[(vi * num_pes_ + a) * num_pes_ + b] = comm_->cost(a, b, vols_[vi]);
+  // Volumes and the machine are fixed for the run, so the relaxed target
+  // cap's worst transfer is too.
+  worst_edge_cost_ = worst_edge_cost(base_graph_, *comm_, num_pes_);
   // Reset the working graph to the construction delays.
   for (EdgeId e = 0; e < graph_.edge_count(); ++e)
     if (graph_.edge(e).delay != base_graph_.edge(e).delay)
@@ -469,6 +472,7 @@ void RemapEngine::commit() {
   committed_.retiming = retiming_;
   committed_.origin = origin_;
   committed_.length = length_;
+  committed_.stats = stats_;
 }
 
 void RemapEngine::rollback() {
@@ -483,6 +487,11 @@ void RemapEngine::rollback() {
   retiming_ = committed_.retiming;
   origin_ = committed_.origin;
   length_ = committed_.length;
+}
+
+void RemapEngine::revert() {
+  rollback();
+  stats_ = committed_.stats;
 }
 
 ScheduleTable RemapEngine::table() const {
@@ -773,7 +782,7 @@ std::optional<int> RemapEngine::remap_incremental(
   if (policy == RemapPolicy::kWithRelaxation) {
     // Same generous sufficient target as the v1 pass.
     long long cap =
-        previous_length + 1 + worst_edge_cost(graph_, *comm_, num_pes_);
+        previous_length + 1 + worst_edge_cost_;
     int max_speed = 1;
     for (PeId p = 0; p < num_pes_; ++p)
       max_speed = std::max(max_speed, speeds_[p]);

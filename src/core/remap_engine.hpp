@@ -156,8 +156,14 @@ class RemapEngine {
   void commit();
 
   /// Discards the working state and restores the last committed one
-  /// (placements, length, graph delays, retiming).
+  /// (placements, length, graph delays, retiming).  The cost accounting
+  /// keeps the discarded work.
   void rollback();
+
+  /// rollback(), and the cost accounting as it stood at the last commit:
+  /// the engine is then exactly as it was right after that commit, as if
+  /// nothing had run since.
+  void revert();
 
   /// True once bind() has run.
   [[nodiscard]] bool bound() const noexcept { return bound_; }
@@ -247,6 +253,7 @@ class RemapEngine {
     Retiming retiming{0};
     int origin = 0;
     int length = 0;
+    RemapStats stats;
   };
 
   // Geometry helpers (logical step = physical step - origin_).
@@ -300,6 +307,7 @@ class RemapEngine {
   std::vector<std::size_t> evol_idx_;  ///< Edge -> volume index.
   std::vector<std::size_t> vols_;      ///< Sorted-unique edge volumes.
   std::vector<CommCost> cost_;         ///< [vol][from][to] flat.
+  long long worst_edge_cost_ = 0;      ///< Worst single-edge transfer.
 
   // Working state.
   Csdfg graph_;  ///< Delays track the working retiming.

@@ -25,6 +25,8 @@ namespace ccs {
 struct Placement {
   PeId pe = 0;  ///< Executing processor.
   int cb = 0;   ///< First control step (1-based).
+
+  friend bool operator==(const Placement&, const Placement&) = default;
 };
 
 /// A (partial) static schedule of one CSDFG iteration on P processors.

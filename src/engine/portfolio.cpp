@@ -84,119 +84,209 @@ struct SharedState {
   }
 };
 
-/// True when two attempts differ at most in their pass count, so that one
-/// compaction run serves both: the pass loop is deterministic, and a run of
-/// z passes is the first z passes of any longer run.
-bool same_run(const CycloCompactionOptions& a,
-              const CycloCompactionOptions& b) {
-  CycloCompactionOptions a_at_b = a;
-  a_at_b.passes = b.passes;
-  return a_at_b == b;
+/// True when two attempts on equal start-up tables follow one trajectory up
+/// to their pass counts, or up to the first growth pass if their policies
+/// differ: the pass loop is deterministic and never reads options.startup,
+/// and the without-relaxation policy accepts exactly what the
+/// with-relaxation one does until that pass (CompactionRun).
+bool same_trajectory(const CycloCompactionOptions& a,
+                     const CycloCompactionOptions& b) {
+  CycloCompactionOptions a_as_b = a;
+  a_as_b.passes = b.passes;
+  a_as_b.startup = b.startup;
+  a_as_b.policy = b.policy;
+  return a_as_b == b;
 }
 
-/// The attempts one compaction run serves, in ascending attempt order.
-/// members[0] is the source: its worker runs the group, and its trace
-/// carries the run.
-struct Group {
-  std::vector<std::size_t> members;
-  std::vector<int> passes;  ///< Effective pass count of each member.
-  std::size_t startup = 0;  ///< Index into the start-up memo.
+/// One attempt a compaction run serves.
+struct Member {
+  std::size_t attempt = 0;
+  int passes = 0;  ///< Effective pass count.
+  RemapPolicy policy = RemapPolicy::kWithRelaxation;
+};
+
+/// The attempts one trajectory serves, in ascending attempt order.  One
+/// run serves them all; if it has members of both policies, the
+/// without-relaxation ones fork off at the first pass the with-relaxation
+/// run grows.
+struct Family {
+  std::vector<Member> members;
+  std::size_t table = 0;  ///< Index into the start-up tables.
+  /// The attempt whose stream records the run: the smallest member of the
+  /// run's policy.
+  std::size_t owner = 0;
+  RemapPolicy policy = RemapPolicy::kWithRelaxation;
+  bool mixed = false;  ///< Members of both policies.
 };
 
 using AttemptResults = std::vector<std::optional<CycloCompactionResult>>;
 
-/// One group's run: the winner-preserving preemption rule (see
-/// portfolio.hpp) plus the hand-out of each member's result at its own
-/// pass count.  The run stops early only when (a) its best already sits on
-/// the lower bound — no further pass can improve it — or (b) a
-/// smaller-indexed attempt has published an incumbent at the lower bound
-/// ahead of every member that still needs passes: those members lose every
-/// possible tie-break, so their remaining passes are dead work.  Any
-/// user-supplied token from the base configuration is honored as well.
-class GroupRun final : public BudgetStopToken, public PassBoundaryObserver {
+/// What every run of one portfolio call shares.
+struct RunContext {
+  AttemptResults& results;
+  /// Per attempt: the owner of the run its result was taken from.
+  std::vector<std::size_t>& taken_from;
+  SharedState& shared;
+  int lower_bound;
+  const BudgetStopToken* user;
+};
+
+/// The members one run still serves, and the winner-preserving preemption
+/// rule (see portfolio.hpp) as the run's stop token.  The run stops early
+/// only when (a) its best already sits on the lower bound — no further pass
+/// can improve it — or (b) a smaller-indexed attempt has published an
+/// incumbent at the lower bound ahead of every member still waiting: those
+/// members lose every possible tie-break, so their remaining passes are
+/// dead work.  Any user-supplied token from the base configuration is
+/// honored as well.
+class Branch final : public BudgetStopToken {
 public:
-  GroupRun(const Group& group, AttemptResults& results, SharedState& shared,
-           int lower_bound, const BudgetStopToken* user)
-      : group_(group),
-        results_(results),
-        shared_(shared),
-        lower_bound_(lower_bound),
-        user_(user),
-        first_live_(group.members.front()) {}
+  Branch(const RunContext& ctx, std::vector<Member> waiting,
+         std::size_t owner)
+      : ctx_(&ctx), waiting_(std::move(waiting)), owner_(owner) {}
 
   [[nodiscard]] bool stop_requested(int current_best) const override {
-    if (user_ != nullptr && user_->stop_requested(current_best)) return true;
-    if (current_best <= lower_bound_) return true;
-    const std::scoped_lock lock(shared_.mu);
-    return shared_.incumbent_length <= lower_bound_ &&
-           shared_.incumbent_attempt < first_live_;
+    if (ctx_->user != nullptr && ctx_->user->stop_requested(current_best))
+      return true;
+    if (current_best <= ctx_->lower_bound) return true;
+    // Members ascend, so the first one still waiting is the smallest.
+    const std::size_t first_live = waiting_.front().attempt;
+    const std::scoped_lock lock(ctx_->shared.mu);
+    return ctx_->shared.incumbent_length <= ctx_->lower_bound &&
+           ctx_->shared.incumbent_attempt < first_live;
   }
 
-  void at_boundary(int passes_done,
-                   const CycloCompactionResult& so_far) override {
-    for (std::size_t k = 0; k < group_.members.size(); ++k)
-      if (group_.passes[k] == passes_done)
-        take(group_.members[k], CycloCompactionResult(so_far));
+  [[nodiscard]] bool waiting() const noexcept { return !waiting_.empty(); }
+  [[nodiscard]] std::size_t owner() const noexcept { return owner_; }
+
+  /// Hands `so_far` to every member whose pass count is `passes_done`.
+  void handout(int passes_done, const CycloCompactionResult& so_far) {
+    std::erase_if(waiting_, [&](const Member& m) {
+      if (m.passes != passes_done) return false;
+      take(m.attempt, CycloCompactionResult(so_far));
+      return true;
+    });
   }
 
   /// Hands the run's final result to every member still waiting for it.
   void finish(CycloCompactionResult&& last) {
-    std::vector<std::size_t> waiting;
-    for (const std::size_t i : group_.members)
-      if (!results_[i]) waiting.push_back(i);
-    for (std::size_t w = 0; w < waiting.size(); ++w)
-      take(waiting[w], w + 1 == waiting.size() ? std::move(last)
-                                               : CycloCompactionResult(last));
+    for (std::size_t w = 0; w < waiting_.size(); ++w)
+      take(waiting_[w].attempt, w + 1 == waiting_.size()
+                                    ? std::move(last)
+                                    : CycloCompactionResult(last));
+    waiting_.clear();
+  }
+
+  /// Removes and returns the waiting members of `policy`.
+  std::vector<Member> release(RemapPolicy policy) {
+    std::vector<Member> out;
+    std::erase_if(waiting_, [&](const Member& m) {
+      if (m.policy != policy) return false;
+      out.push_back(m);
+      return true;
+    });
+    return out;
   }
 
 private:
   void take(std::size_t i, CycloCompactionResult&& result) {
-    shared_.publish(result.best.length(), i);
-    results_[i].emplace(std::move(result));
-    // Members ascend, so the first one still waiting is the smallest.
-    first_live_ = std::numeric_limits<std::size_t>::max();
-    for (const std::size_t m : group_.members)
-      if (!results_[m]) {
-        first_live_ = m;
-        break;
-      }
+    ctx_->shared.publish(result.best.length(), i);
+    ctx_->results[i].emplace(std::move(result));
+    ctx_->taken_from[i] = owner_;
   }
 
-  const Group& group_;
-  AttemptResults& results_;
-  SharedState& shared_;
-  int lower_bound_;
-  const BudgetStopToken* user_;
-  /// Smallest member index still waiting for passes.
-  std::size_t first_live_;
+  const RunContext* ctx_;
+  std::vector<Member> waiting_;
+  std::size_t owner_;
 };
 
-/// Partitions the roster into groups (see same_run), ordered by source, and
-/// lists the distinct start-up configurations in `startups`.
-std::vector<Group> group_attempts(const Csdfg& g,
-                                  const std::vector<AttemptConfig>& roster,
-                                  std::vector<StartUpOptions>& startups) {
+/// Runs `run` for as long as `branch` has members waiting, handing each
+/// its result at its own pass count.
+void drive(CompactionRun& run, Branch& branch, const ObsContext& obs,
+           const CompactionRun::GrowthHook& at_growth) {
+  while (true) {
+    branch.handout(run.passes_done(), run.result());
+    if (!branch.waiting() || !run.admit(obs)) break;
+    run.step(obs, at_growth);
+  }
+  branch.finish(run.take_result());
+}
+
+/// One attempt-tagged stream of observability output, recorded privately
+/// so that runs never contend on the caller's context; merged in attempt
+/// order after the join.
+struct Slot {
+  VectorSink sink;
+  Tracer tracer;
+  MetricsRegistry metrics;
+  SpanProfiler profiler;
+
+  /// A context recording into this slot for `attempt`, whose stream holds
+  /// `first_seq` lines before this one; it has each part the caller's has.
+  ObsContext open(const ObsContext& caller, std::size_t attempt,
+                  std::size_t first_seq) {
+    ObsContext obs;
+    if (caller.metrics != nullptr) obs.metrics = &metrics;
+    if (caller.tracing()) {
+      tracer = Tracer(&sink, first_seq);
+      tracer.set_attempt(static_cast<int>(attempt));
+      obs.tracer = &tracer;
+    }
+    if (caller.profiling()) {
+      profiler.set_attempt(static_cast<int>(attempt));
+      obs.profiler = &profiler;
+    }
+    return obs;
+  }
+
+  /// Adds this slot's metrics, trace lines and spans to the caller's.
+  void merge_into(const ObsContext& caller) const {
+    if (caller.metrics != nullptr) caller.metrics->merge(metrics);
+    if (caller.tracing())
+      for (const std::string& line : sink.lines())
+        caller.tracer->emit_raw(line);
+    if (caller.profiling()) caller.profiler->absorb(profiler);
+  }
+};
+
+/// Partitions the roster into families (see same_trajectory), ordered by
+/// smallest member.  `table_of[i]` names attempt i's start-up table; equal
+/// tables must share one name.
+std::vector<Family> group_families(const Csdfg& g,
+                                   const std::vector<AttemptConfig>& roster,
+                                   const std::vector<std::size_t>& table_of) {
   const int default_passes =
       3 * static_cast<int>(std::max<std::size_t>(1, g.node_count()));
-  std::vector<Group> groups;
+  std::vector<Family> families;
   for (std::size_t i = 0; i < roster.size(); ++i) {
     const CycloCompactionOptions& o = roster[i].options;
-    const int passes = o.passes > 0 ? o.passes : default_passes;
+    const Member member{i, o.passes > 0 ? o.passes : default_passes,
+                        o.policy};
     const auto same =
-        std::find_if(groups.begin(), groups.end(), [&](const Group& group) {
-          return same_run(roster[group.members.front()].options, o);
+        std::find_if(families.begin(), families.end(), [&](const Family& f) {
+          return f.table == table_of[i] &&
+                 same_trajectory(roster[f.members.front().attempt].options, o);
         });
-    if (same != groups.end()) {
-      same->members.push_back(i);
-      same->passes.push_back(passes);
-      continue;
+    if (same != families.end()) {
+      same->members.push_back(member);
+    } else {
+      families.push_back({{member}, table_of[i]});
     }
-    auto memo = std::find(startups.begin(), startups.end(), o.startup);
-    if (memo == startups.end()) memo = startups.insert(memo, o.startup);
-    groups.push_back(
-        {{i}, {passes}, static_cast<std::size_t>(memo - startups.begin())});
   }
-  return groups;
+  for (Family& f : families) {
+    const auto has = [&](RemapPolicy p) {
+      return std::any_of(f.members.begin(), f.members.end(),
+                         [&](const Member& m) { return m.policy == p; });
+    };
+    const bool relaxed = has(RemapPolicy::kWithRelaxation);
+    f.policy = relaxed ? RemapPolicy::kWithRelaxation
+                       : RemapPolicy::kWithoutRelaxation;
+    f.mixed = relaxed && has(RemapPolicy::kWithoutRelaxation);
+    f.owner = std::find_if(f.members.begin(), f.members.end(),
+                           [&](const Member& m) { return m.policy == f.policy; })
+                  ->attempt;
+  }
+  return families;
 }
 
 /// The row of an attempt that an earlier attempt's lower-bound incumbent
@@ -316,74 +406,114 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   const CompositeBound bound = compute_bounds(g, topo, comm, opt.base);
   const int lower_bound = std::max(1, bound.value);
 
+  // One start-up table per distinct StartUpOptions, in order of first use.
+  // Its trace and span lines go to the first attempt that uses it.
   std::vector<StartUpOptions> startup_options;
-  const std::vector<Group> groups =
-      group_attempts(g, roster, startup_options);
+  std::vector<std::size_t> startup_of(roster.size());
+  std::vector<std::size_t> first_user;
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    const StartUpOptions& o = roster[i].options.startup;
+    const auto it = std::find(startup_options.begin(), startup_options.end(), o);
+    startup_of[i] = static_cast<std::size_t>(it - startup_options.begin());
+    if (it == startup_options.end()) {
+      startup_options.push_back(o);
+      first_user.push_back(i);
+    }
+  }
+  std::vector<Slot> startup_slots(startup_options.size());
+  std::vector<ScheduleTable> tables;
+  tables.reserve(startup_options.size());
+  for (std::size_t k = 0; k < startup_options.size(); ++k)
+    tables.push_back(start_up_schedule(
+        g, topo, comm, startup_options[k],
+        startup_slots[k].open(obs, first_user[k], 0)));
+  // Per attempt: how many lines its stream holds before its run's.
+  std::vector<std::size_t> first_seq(roster.size(), 0);
+  for (std::size_t k = 0; k < first_user.size(); ++k)
+    first_seq[first_user[k]] = startup_slots[k].sink.lines().size();
 
-  // One start-up table per distinct StartUpOptions, built by the first
-  // group that needs it.
-  struct StartUpMemo {
-    std::once_flag once;
-    std::optional<ScheduleTable> table;
-  };
-  std::vector<StartUpMemo> startups(startup_options.size());
+  // Attempts whose tables are equal share a trajectory, whatever their
+  // priority rule: each table goes by the first one equal to it.
+  std::vector<std::size_t> first_equal(tables.size());
+  std::size_t distinct_tables = 0;
+  for (std::size_t k = 0; k < tables.size(); ++k) {
+    const auto begin = tables.begin();
+    first_equal[k] = static_cast<std::size_t>(
+        std::find(begin, begin + static_cast<long>(k), tables[k]) - begin);
+    if (first_equal[k] == k) ++distinct_tables;
+  }
+  std::vector<std::size_t> table_of(roster.size());
+  for (std::size_t i = 0; i < roster.size(); ++i)
+    table_of[i] = first_equal[startup_of[i]];
+  const std::vector<Family> families = group_families(g, roster, table_of);
 
-  // Each group's run records into its own observability slot, so the hot
-  // path never contends on the caller's; merged in attempt order below.
-  struct Slot {
-    std::vector<std::string> trace_lines;
-    MetricsRegistry metrics;
-    SpanProfiler profiler;
+  // Each family's run records into its own slot, and a forked
+  // without-relaxation run into a second one.
+  struct FamilySlots {
+    Slot run;
+    Slot fork;
+    std::optional<std::size_t> fork_owner;
     std::exception_ptr error;
   };
-  std::vector<Slot> slots(groups.size());
+  std::vector<FamilySlots> slots(families.size());
   AttemptResults results(roster.size());
-
+  std::vector<std::size_t> taken_from(roster.size(), 0);
   SharedState shared;
+  const RunContext ctx{results, taken_from, shared, lower_bound,
+                       opt.base.budget.stop};
   std::atomic<std::size_t> next{0};
-  const bool want_traces = obs.tracing();
-  const bool want_metrics = obs.metrics != nullptr;
-  const bool want_profile = obs.profiling();
 
-  const auto run_group = [&](std::size_t k) {
-    const Group& group = groups[k];
-    const std::size_t source = group.members.front();
-    Slot& slot = slots[k];
+  const auto run_family = [&](std::size_t f) {
+    const Family& family = families[f];
+    FamilySlots& slot = slots[f];
     try {
-      ObsContext run_obs;
-      if (want_metrics) run_obs.metrics = &slot.metrics;
-      VectorSink sink;
-      Tracer tracer(&sink);
-      if (want_traces) {
-        tracer.set_attempt(static_cast<int>(source));
-        run_obs.tracer = &tracer;
-      }
-      if (want_profile) {
-        slot.profiler.set_attempt(static_cast<int>(source));
-        run_obs.profiler = &slot.profiler;
-      }
-      // The attempt span must close before sink.lines() is harvested, or
-      // its span_end line would miss the attempt's trace stream.
-      {
-        const ObsSpan attempt_span = run_obs.span("portfolio.attempt");
-        const ScopedTimer compaction_timer(run_obs.metrics,
-                                           "time.compaction");
-        const ObsSpan run_span = run_obs.span("compact");
-        StartUpMemo& memo = startups[group.startup];
-        std::call_once(memo.once, [&] {
-          memo.table.emplace(start_up_schedule(
-              g, topo, comm, startup_options[group.startup], run_obs));
-        });
+      CycloCompactionOptions options = roster[family.owner].options;
+      options.policy = family.policy;
+      for (const Member& m : family.members)
+        options.passes = std::max(options.passes, m.passes);
+      Branch branch(ctx, family.members, family.owner);
+      options.budget.stop = &branch;
+      CompactionRun run(g, comm, tables[family.table], options);
 
-        CycloCompactionOptions options = roster[source].options;
-        options.passes =
-            *std::max_element(group.passes.begin(), group.passes.end());
-        GroupRun run(group, results, shared, lower_bound,
-                     options.budget.stop);
-        options.budget.stop = &run;
-        run.finish(compact_from(g, comm, *memo.table, options, run_obs, &run));
+      // The without-relaxation members leave at the first growth pass.
+      std::optional<Branch> strict;
+      std::optional<CompactionRun> twin;
+      CompactionRun::GrowthHook fork;
+      if (family.mixed) {
+        fork = [&](const CompactionRun& grown) {
+          std::vector<Member> leaving =
+              branch.release(RemapPolicy::kWithoutRelaxation);
+          if (leaving.empty()) return;
+          const std::size_t owner = leaving.front().attempt;
+          strict.emplace(ctx, std::move(leaving), owner);
+          CycloCompactionOptions twin_options = options;
+          twin_options.policy = RemapPolicy::kWithoutRelaxation;
+          twin_options.budget.stop = &*strict;
+          twin.emplace(grown.fork(twin_options));
+        };
       }
-      if (want_traces) slot.trace_lines = sink.lines();
+      {
+        const ObsContext run_obs =
+            slot.run.open(obs, family.owner, first_seq[family.owner]);
+        // The attempt span must close before the slot is merged, or its
+        // span_end line would miss the attempt's trace stream.
+        const ObsSpan attempt_span = run_obs.span("portfolio.attempt");
+        const ScopedTimer compaction_timer(run_obs.metrics, "time.compaction");
+        const ObsSpan run_span = run_obs.span("compact");
+        drive(run, branch, run_obs, fork);
+      }
+      if (twin) {
+        const std::size_t owner = strict->owner();
+        slot.fork_owner = owner;
+        const ObsContext twin_obs = slot.fork.open(obs, owner, first_seq[owner]);
+        const ObsSpan attempt_span = twin_obs.span("portfolio.attempt");
+        twin_obs.emit(AttemptDerivedEvent{
+            static_cast<int>(family.owner), twin->passes_done(),
+            twin->result().best.length(), "", true});
+        const ScopedTimer compaction_timer(twin_obs.metrics, "time.compaction");
+        const ObsSpan run_span = twin_obs.span("compact");
+        drive(*twin, *strict, twin_obs, {});
+      }
     } catch (...) {
       slot.error = std::current_exception();
     }
@@ -391,9 +521,9 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
 
   const auto worker = [&] {
     while (true) {
-      const std::size_t k = next.fetch_add(1);
-      if (k >= groups.size()) break;
-      run_group(k);
+      const std::size_t f = next.fetch_add(1);
+      if (f >= families.size()) break;
+      run_family(f);
     }
   };
 
@@ -403,7 +533,7 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
         std::max(1u, std::thread::hardware_concurrency()));
   }
   const std::size_t pool_size = std::min<std::size_t>(
-      static_cast<std::size_t>(jobs), groups.size());
+      static_cast<std::size_t>(jobs), families.size());
   if (pool_size <= 1) {
     worker();
   } else {
@@ -413,9 +543,9 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
     for (std::thread& t : pool) t.join();
   }
 
-  // First failure by source index wins the rethrow — deterministic even
-  // when several groups failed in parallel.
-  for (const Slot& slot : slots)
+  // First failure by family (ordered by smallest member) wins the rethrow
+  // — deterministic even when several runs failed in parallel.
+  for (const FamilySlots& slot : slots)
     if (slot.error) std::rethrow_exception(slot.error);
 
   // The rows, in attempt order.  An attempt after one that reached the
@@ -444,40 +574,35 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   attempts[winner_index].winner = true;
 
   // Merge observability into the caller's context in attempt order, so the
-  // merged stream and counters are independent of completion order.  A
-  // derived attempt did no work of its own; it contributes one event naming
-  // its source and the pass its result was taken after.
-  std::vector<std::size_t> group_of(roster.size());
-  for (std::size_t k = 0; k < groups.size(); ++k)
-    for (const std::size_t i : groups[k].members) group_of[i] = k;
+  // merged stream and counters are independent of completion order.  An
+  // attempt's stream is its start-up lines, if it is a table's first user,
+  // then the run it owns, or else one attempt_derived event naming the run
+  // its result was taken from and after how many passes.
+  std::vector<Slot*> owned(roster.size(), nullptr);
+  for (FamilySlots& slot : slots) {
+    owned[families[static_cast<std::size_t>(&slot - slots.data())].owner] =
+        &slot.run;
+    if (slot.fork_owner) owned[*slot.fork_owner] = &slot.fork;
+  }
   for (std::size_t i = 0; i < roster.size(); ++i) {
-    const std::size_t source = groups[group_of[i]].members.front();
-    if (source == i) {
-      Slot& slot = slots[group_of[i]];
-      if (want_metrics) obs.metrics->merge(slot.metrics);
-      if (want_traces)
-        for (const std::string& line : slot.trace_lines)
-          obs.tracer->emit_raw(line);
-      if (want_profile) obs.profiler->absorb(slot.profiler);
+    if (first_user[startup_of[i]] == i)
+      startup_slots[startup_of[i]].merge_into(obs);
+    if (owned[i] != nullptr) {
+      owned[i]->merge_into(obs);
       continue;
     }
-    if (!want_traces && !want_profile) continue;
-    VectorSink sink;
-    Tracer tracer(&sink);
-    tracer.set_attempt(static_cast<int>(i));
-    SpanProfiler profiler;
-    profiler.set_attempt(static_cast<int>(i));
-    const ObsContext derived_obs{want_traces ? &tracer : nullptr, nullptr,
-                                 want_profile ? &profiler : nullptr};
+    if (!obs.tracing() && !obs.profiling()) continue;
+    Slot derived;
+    const ObsContext derived_obs =
+        derived.open(ObsContext{obs.tracer, nullptr, obs.profiler}, i,
+                     first_seq[i]);
     {
       const ObsSpan attempt_span = derived_obs.span("portfolio.attempt");
       derived_obs.emit(AttemptDerivedEvent{
-          static_cast<int>(source), passes_run[i], attempts[i].length,
-          attempts[i].stop_reason});
+          static_cast<int>(taken_from[i]), passes_run[i], attempts[i].length,
+          attempts[i].stop_reason, false});
     }
-    if (want_traces)
-      for (const std::string& line : sink.lines()) obs.tracer->emit_raw(line);
-    if (want_profile) obs.profiler->absorb(profiler);
+    derived.merge_into(obs);
   }
 
   const int serial_length = attempts[0].length;
@@ -500,12 +625,19 @@ PortfolioResult portfolio_compact(const Csdfg& g, const Topology& topo,
   }
 
   obs.count("portfolio.attempts", static_cast<long long>(roster.size()));
-  obs.count("portfolio.compaction_runs", static_cast<long long>(groups.size()));
+  obs.count("portfolio.startup_tables",
+            static_cast<long long>(distinct_tables));
+  obs.count("portfolio.compaction_runs",
+            static_cast<long long>(families.size()));
+  long long forks = 0;
+  for (const FamilySlots& slot : slots)
+    if (slot.fork_owner) ++forks;
+  if (forks > 0) obs.count("portfolio.forks", forks);
   long long pruned = 0;
   for (const AttemptOutcome& row : result.attempts)
     if (row.pruned) ++pruned;
   if (pruned > 0) obs.count("portfolio.pruned", pruned);
-  if (want_metrics) {
+  if (obs.metrics != nullptr) {
     obs.metrics->set("portfolio.jobs", static_cast<double>(jobs));
     obs.metrics->set("portfolio.winner_attempt",
                      static_cast<double>(winner_index));

@@ -7,15 +7,17 @@
 // embraces that: it evaluates N configured attempts on a worker pool and
 // returns the best schedule found, with per-attempt provenance.
 //
-// Shared runs: Cyclo-Compact(G, z) is deterministic, so a run of z passes
-// is exactly the first z passes of a longer run of the same configuration.
-// Attempts that differ only in their pass count form one group, run once
-// (compact_from) for the group's largest count; each shorter member takes
-// the run's result after its own pass count (PassBoundaryObserver).  One
-// start-up table is built per distinct StartUpOptions.  The group's
-// smallest attempt index is its source: the unit of parallel work, and the
-// owner of the run's trace.  Rows and winners are exactly those of running
-// every attempt on its own.
+// Shared runs: Cyclo-Compact(G, z) is deterministic, so the engine runs
+// each distinct trajectory once.  One start-up table is built per distinct
+// StartUpOptions; attempts whose tables are equal and whose options differ
+// only in pass count, start-up options and remap policy form one family
+// and one run (CompactionRun), to the family's largest pass count.  A
+// member with fewer passes takes the run's result after its own count.
+// Without-relaxation members decide as the with-relaxation run does until
+// its first pass that ends longer than it began; there they fork off
+// (CompactionRun::fork) and rerun that pass under their own policy.  A
+// family is the unit of parallel work.  Rows and winners are exactly those
+// of running every attempt on its own.
 //
 // Attempt roster (portfolio_attempts):
 //   * attempt 0 is exactly the caller's base configuration — the serial
@@ -43,11 +45,14 @@
 // user stop token (one that answers from the best length alone) and no
 // deadline, every row is therefore identical across --jobs too.
 //
-// Observability: each group runs with its own Tracer (tagged with its
-// source's attempt index), MetricsRegistry and SpanProfiler; after the
-// join the engine merges them into the caller's ObsContext in attempt
-// order.  A derived attempt adds one attempt_derived event naming its
-// source and pass; then come the portfolio.* counters
+// Observability: each start-up build, run and fork records into its own
+// Tracer, MetricsRegistry and SpanProfiler, tagged with the attempt that
+// owns it: a table's first user, a run's smallest member of the run's
+// policy, a fork's smallest member.  After the join the engine merges them
+// into the caller's ObsContext in attempt order, each attempt's lines in
+// one seq space.  An attempt that owns no run or fork adds one
+// attempt_derived event naming the run's owner and pass; a fork's stream
+// opens with one marked "fork".  Then come the portfolio.* counters
 // (docs/OBSERVABILITY.md).
 #pragma once
 
@@ -67,7 +72,7 @@ namespace ccs {
 
 /// Configuration of the portfolio engine.
 struct PortfolioOptions {
-  /// Worker threads; 1 runs every group inline on the caller's thread
+  /// Worker threads; 1 runs every family inline on the caller's thread
   /// (still the same winner, by the determinism contract), 0 asks the
   /// hardware (std::thread::hardware_concurrency).
   int jobs = 1;
@@ -156,8 +161,8 @@ struct PortfolioResult {
 
 /// Runs the portfolio on `opt.jobs` workers and returns the best attempt.
 /// Deterministic winner (see the contract above); throws GraphError if `g`
-/// is illegal, and rethrows the first (by source index) exception any
-/// group run raised.  `obs` receives merged metrics, attempt-tagged trace
+/// is illegal, and rethrows the first exception a start-up build raised,
+/// else the first (by smallest member) any family's run raised.  `obs` receives merged metrics, attempt-tagged trace
 /// lines in attempt order, the portfolio.* counters/gauges, and the
 /// time.portfolio timer.
 [[nodiscard]] PortfolioResult portfolio_compact(

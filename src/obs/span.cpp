@@ -1,6 +1,8 @@
 #include "obs/span.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -41,8 +43,11 @@ std::uint64_t SpanHistogram::quantile_ns(double q) const noexcept {
   if (count_ == 0) return 0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  const std::uint64_t rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1)) + 1;
+  // Nearest rank: the smallest sample with at least q of the samples at or
+  // below it, so p95 of two samples is the larger one.
+  const double n = static_cast<double>(count_);
+  const std::uint64_t rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(q * n)), 1, count_);
   std::uint64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
     seen += bins_[static_cast<std::size_t>(b)];

@@ -145,6 +145,7 @@ void Tracer::emit(const AttemptDerivedEvent& e) {
                    .field("pass", e.pass)
                    .field("best_length", e.best_length)
                    .field("reason", e.reason)
+                   .field("fork", e.fork)
                    .close());
 }
 

@@ -164,15 +164,19 @@ struct BudgetEvent {
   int best_length = 0;  ///< Best length at the stop.
 };
 
-/// A portfolio attempt took its result from another attempt's compaction
-/// run instead of running its own (engine/portfolio.hpp): the attempts
-/// differ only in their pass count, so this one's result is the source run
-/// after `pass` passes.
+/// A portfolio attempt took its result, or the start of its run, from
+/// another attempt's compaction run (engine/portfolio.hpp).  Without `fork`
+/// the attempt ran nothing of its own: its result is the source run after
+/// `pass` passes.  With `fork` the attempt's own without-relaxation run
+/// continues from the source's with-relaxation run after `pass` passes —
+/// the first pass where the two policies can decide differently — and its
+/// own pass events follow.
 struct AttemptDerivedEvent {
-  int source = 0;       ///< Attempt index whose worker ran the compaction.
-  int pass = 0;         ///< Passes of that run the result was taken after.
-  int best_length = 0;  ///< The attempt's best length.
-  std::string reason;   ///< The attempt's stop reason ("" = ran out).
+  int source = 0;       ///< Attempt index whose stream records that run.
+  int pass = 0;         ///< Passes of that run taken over.
+  int best_length = 0;  ///< The attempt's best length (at the fork: so far).
+  std::string reason;   ///< The attempt's stop reason ("" = ran out, fork).
+  bool fork = false;    ///< The attempt's own run continues from here.
 };
 
 /// A profiler span opened (obs/span.hpp).  Emitted only when a span
@@ -206,10 +210,16 @@ public:
   Tracer() = default;
   /// Non-owning: `sink` must outlive the tracer.
   explicit Tracer(TraceSink* sink) : sink_(sink) {}
+  /// Continues a stream that already holds `first_seq` events: the first
+  /// event written gets seq `first_seq`.  The portfolio engine uses this to
+  /// put an attempt's run after its start-up lines in one seq space.
+  Tracer(TraceSink* sink, std::uint64_t first_seq)
+      : sink_(sink), seq_(first_seq) {}
 
   [[nodiscard]] bool enabled() const noexcept { return sink_ != nullptr; }
 
-  /// Events written so far (0 for a disabled tracer).
+  /// The seq the next event gets: the events written so far, plus any
+  /// `first_seq` (0 for a disabled tracer).
   [[nodiscard]] std::uint64_t events_emitted() const noexcept { return seq_; }
 
   /// Tags every subsequent event line with an "attempt" field — the

@@ -603,6 +603,17 @@ TEST(ObsSpanHistogram, BucketsCountAndApproximateQuantiles) {
   EXPECT_EQ(h.max_ns(), 1u << 20);
 }
 
+TEST(ObsSpanHistogram, NearestRankQuantileTakesTheLargerOfTwoSamples) {
+  // p95 of {2 us, 25 s} is 25 s: the nearest rank is ceil(0.95 * 2) = 2.
+  SpanHistogram h;
+  h.add(2'000);
+  h.add(25'000'000'000);
+  EXPECT_EQ(h.quantile_ns(0.95), 25'000'000'000u);
+  EXPECT_LE(h.quantile_ns(0.5), 2'047u);
+  EXPECT_LE(h.quantile_ns(0.0), 2'047u);
+  EXPECT_EQ(h.quantile_ns(1.0), 25'000'000'000u);
+}
+
 TEST(ObsSpan, NullProfilerIsInert) {
   const ObsSpan span(nullptr, "never-recorded");
   ObsContext obs;

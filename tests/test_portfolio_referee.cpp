@@ -1,6 +1,8 @@
 // Differential tests: portfolio_compact, which runs each distinct
-// compaction once and takes shorter attempts' results from longer runs,
-// against the referee below, which runs every roster attempt as an
+// compaction trajectory once — attempts on equal start-up tables share a
+// run, shorter attempts take their results from longer runs, and
+// without-relaxation attempts fork off the with-relaxation run at its first
+// growth pass — against the referee below, which runs every roster attempt as an
 // independent cyclo_compact under the documented jobs=1 preemption rule.
 // At jobs=1 every AttemptOutcome row and the winner's table, retimed graph
 // and retiming must match; at jobs 2/4/8 the winner must too.
@@ -9,6 +11,8 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "io/schedule_format.hpp"
 #include "io/text_format.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace_reader.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/library.hpp"
 
@@ -242,6 +247,234 @@ TEST(PortfolioReferee, UserStopToken) {
   }
 }
 
+/// How a jobs=1 portfolio run shared its work, read back from its counters
+/// and its merged trace.
+struct Sharing {
+  long long tables = 0;  ///< portfolio.startup_tables
+  long long runs = 0;    ///< portfolio.compaction_runs
+  long long forks = 0;   ///< portfolio.forks
+  /// Without-relaxation attempts that took every one of their passes from a
+  /// with-relaxation run.
+  int strict_derived_whole = 0;
+  /// Forked runs whose first pass — the divergence pass — succeeded.
+  int forks_continued = 0;
+  /// Pass count each forked run took over, by the attempt owning it.
+  std::map<long long, long long> fork_pass;
+  /// Budget stops (reason, best length) after a fork, in the forked run or
+  /// in the run it left.
+  std::vector<std::pair<std::string, long long>> stops_after_fork;
+
+  [[nodiscard]] bool stopped_after_fork(const std::string& reason) const {
+    return std::any_of(stops_after_fork.begin(), stops_after_fork.end(),
+                       [&](const auto& stop) { return stop.first == reason; });
+  }
+};
+
+bool is_true(const TraceEvent& e, std::string_view key) {
+  const TraceField* f = e.find(key);
+  return f != nullptr && f->kind == TraceField::Kind::kBool &&
+         f->text == "true";
+}
+
+Sharing sharing_of(const Csdfg& g, const Topology& topo,
+                   PortfolioOptions opt) {
+  const StoreAndForwardModel comm(topo);
+  opt.jobs = 1;
+  opt.certify_winner = false;
+  VectorSink sink;
+  Tracer tracer(&sink);
+  MetricsRegistry metrics;
+  (void)portfolio_compact(g, topo, comm, opt, {&tracer, &metrics});
+  const std::vector<AttemptConfig> roster = portfolio_attempts(g, opt);
+  const int default_passes =
+      3 * static_cast<int>(std::max<std::size_t>(1, g.node_count()));
+  const auto strict = [&](long long i) {
+    return roster[static_cast<std::size_t>(i)].options.policy ==
+           RemapPolicy::kWithoutRelaxation;
+  };
+
+  Sharing out;
+  out.tables = metrics.counter("portfolio.startup_tables");
+  out.runs = metrics.counter("portfolio.compaction_runs");
+  out.forks = metrics.counter("portfolio.forks");
+  std::string text;
+  for (const std::string& line : sink.lines()) text += line + "\n";
+  const std::vector<TraceEvent> events = parse_trace_jsonl(text).events;
+  // Forks first: a run's stream comes before the stream of its fork.
+  std::map<long long, long long> forked_from;  // run owner -> fork pass
+  for (const TraceEvent& e : events) {
+    long long attempt = 0;
+    long long source = 0;
+    long long pass = 0;
+    if (is_true(e, "fork") && e.number("attempt", attempt) &&
+        e.number("source", source) && e.number("pass", pass)) {
+      out.fork_pass[attempt] = pass;
+      forked_from[source] = pass;
+    }
+  }
+  for (const TraceEvent& e : events) {
+    long long attempt = 0;
+    std::string kind;
+    if (!e.number("attempt", attempt) || !e.string("kind", kind)) continue;
+    long long pass = 0;
+    (void)e.number("pass", pass);
+    const auto fork = out.fork_pass.find(attempt);
+    const auto left = forked_from.find(attempt);
+    if (kind == "attempt_derived" && !is_true(e, "fork")) {
+      long long source = 0;
+      (void)e.number("source", source);
+      const int passes =
+          roster[static_cast<std::size_t>(attempt)].options.passes > 0
+              ? roster[static_cast<std::size_t>(attempt)].options.passes
+              : default_passes;
+      if (strict(attempt) && !strict(source) && pass == passes)
+        ++out.strict_derived_whole;
+    } else if (kind == "pass_end" && fork != out.fork_pass.end() &&
+               pass == fork->second + 1) {
+      ++out.forks_continued;
+    } else if (kind == "budget_exhausted" &&
+               (fork != out.fork_pass.end() ||
+                (left != forked_from.end() && pass > left->second + 1))) {
+      std::string reason;
+      long long best = 0;
+      (void)e.string("reason", reason);
+      (void)e.number("best_length", best);
+      out.stops_after_fork.emplace_back(reason, best);
+    }
+  }
+  return out;
+}
+
+TEST(PortfolioReferee, EqualStartUpTablesShareOneRun) {
+  // Every priority rule gives elliptic and fir16 the same start-up table,
+  // so the 24 attempts collapse to one trajectory per slot selection.
+  for (const Csdfg& g : {elliptic_filter(), fir_filter(16)}) {
+    for (const Topology& topo : paper_machines()) {
+      const Sharing sharing = sharing_of(g, topo, {});
+      EXPECT_EQ(sharing.tables, 1) << g.name() << " on " << topo.name();
+      EXPECT_EQ(sharing.runs, 2) << g.name() << " on " << topo.name();
+    }
+    PortfolioOptions opt;
+    opt.attempts = 30;
+    opt.seed = 11;
+    expect_matches_referee(g, make_ring(8), opt, g.name() + " attempts=30");
+  }
+}
+
+TEST(PortfolioReferee, StrictAttemptsDerivedWholeFromARelaxedRun) {
+  // A with-relaxation run that never grows within a without-relaxation
+  // member's pass count hands that member its result whole.
+  int covered = 0;
+  for (const Csdfg& g : paper_graphs()) {
+    for (const Topology& topo : paper_machines()) {
+      if (sharing_of(g, topo, {}).strict_derived_whole == 0) continue;
+      ++covered;
+      expect_matches_referee(g, topo, {}, g.name() + " derived whole");
+    }
+  }
+  EXPECT_GT(covered, 0);
+}
+
+/// The first random_graph seed whose portfolio on mesh 2x2 forks a
+/// without-relaxation run that then succeeds at the divergence pass and
+/// continues on its own.  Rare: the forked run usually rolls back there.
+const std::vector<std::uint64_t>& seeds_with_continuing_forks() {
+  static const std::vector<std::uint64_t> seeds = [] {
+    std::vector<std::uint64_t> found;
+    for (std::uint64_t seed = 1; seed <= 400 && found.empty(); ++seed)
+      if (sharing_of(random_graph(seed), make_mesh(2, 2), {}).forks_continued >
+          0)
+        found.push_back(seed);
+    return found;
+  }();
+  return seeds;
+}
+
+TEST(PortfolioReferee, ForkedStrictRunContinuesPastTheDivergencePass) {
+  const std::vector<std::uint64_t>& seeds = seeds_with_continuing_forks();
+  ASSERT_FALSE(seeds.empty()) << "no random graph covers a continuing fork";
+  for (const std::uint64_t seed : seeds)
+    expect_matches_referee(random_graph(seed), make_mesh(2, 2), {},
+                           "continuing fork seed " + std::to_string(seed));
+}
+
+TEST(PortfolioReferee, WithoutRelaxationBase) {
+  PortfolioOptions opt;
+  opt.base.policy = RemapPolicy::kWithoutRelaxation;
+  for (const Csdfg& g : paper_graphs())
+    for (const Topology& topo : {make_ring(8), make_hypercube(3)})
+      expect_matches_referee(g, topo, opt, g.name() + " strict base");
+  opt.attempts = 30;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    opt.seed = seed;
+    expect_matches_referee(random_graph(seed), make_mesh(2, 2), opt,
+                           "random strict base seed " + std::to_string(seed));
+  }
+}
+
+TEST(PortfolioReferee, BudgetsFireAfterAFork) {
+  class StopAtLength final : public BudgetStopToken {
+  public:
+    explicit StopAtLength(int length) : length_(length) {}
+    [[nodiscard]] bool stop_requested(int current_best) const override {
+      return current_best <= length_;
+    }
+
+  private:
+    int length_;
+  };
+  const std::vector<std::uint64_t>& seeds = seeds_with_continuing_forks();
+  ASSERT_FALSE(seeds.empty());
+  const Topology topo = make_mesh(2, 2);
+  std::set<std::string> fired;
+  for (const std::uint64_t seed : seeds) {
+    const Csdfg g = random_graph(seed);
+    const Sharing open = sharing_of(g, topo, {});
+    const std::string where = "seed " + std::to_string(seed);
+    // max_passes equal to a fork's divergence pass: both runs stop at the
+    // next boundary.
+    for (const auto& [attempt, taken] : open.fork_pass) {
+      PortfolioOptions opt;
+      opt.base.budget.max_passes = static_cast<int>(taken) + 1;
+      if (sharing_of(g, topo, opt).stopped_after_fork("max-passes"))
+        fired.insert("max-passes");
+      expect_matches_referee(g, topo, opt,
+                             where + " max_passes=" +
+                                 std::to_string(opt.base.budget.max_passes));
+    }
+    for (int patience = 1; patience <= 4; ++patience) {
+      PortfolioOptions opt;
+      opt.base.budget.patience = patience;
+      if (!sharing_of(g, topo, opt).stopped_after_fork("patience")) continue;
+      fired.insert("patience");
+      expect_matches_referee(g, topo, opt,
+                             where + " patience=" + std::to_string(patience));
+    }
+    // The user token is asked before the lower-bound and incumbent rules,
+    // so a "preempted" stop at a best within its length is the token's.
+    const StoreAndForwardModel comm(topo);
+    const int startup = start_up_schedule(g, topo, comm).length();
+    const int lower_bound = compute_bounds(g, topo, comm, {}).value;
+    for (int length = lower_bound + 1; length < startup; ++length) {
+      const StopAtLength stop(length);
+      PortfolioOptions opt;
+      opt.base.budget.stop = &stop;
+      const Sharing s = sharing_of(g, topo, opt);
+      if (std::none_of(s.stops_after_fork.begin(), s.stops_after_fork.end(),
+                       [&](const auto& st) {
+                         return st.first == "preempted" && st.second <= length;
+                       }))
+        continue;
+      fired.insert("user");
+      expect_matches_referee(g, topo, opt,
+                             where + " user stop at " + std::to_string(length));
+    }
+  }
+  EXPECT_EQ(fired.count("max-passes"), 1u);
+  EXPECT_EQ(fired.count("patience"), 1u);
+  EXPECT_EQ(fired.count("user"), 1u);
+}
+
 TEST(PortfolioWork, Paper19RunsEachDistinctCompactionOnce) {
   const Csdfg g = paper_example19();
   const Topology topo = make_mesh(4, 2);
@@ -256,10 +489,14 @@ TEST(PortfolioWork, Paper19RunsEachDistinctCompactionOnce) {
   std::size_t startup_spans = 0;
   for (const SpanRecord& span : profiler.records())
     if (span.name == "startup.list") ++startup_spans;
-  // One start-up table per priority rule, one run per (policy, selection,
-  // priority) cell.
+  // One start-up table per priority rule, two of them equal; one run per
+  // (selection, distinct table), and each run's without-relaxation
+  // attempts fork off once it grows.
   EXPECT_EQ(startup_spans, 3u);
-  EXPECT_EQ(metrics.counter("portfolio.compaction_runs"), 12);
+  EXPECT_EQ(metrics.counter("portfolio.startup_tables"), 2);
+  EXPECT_EQ(metrics.counter("portfolio.compaction_runs"), 4);
+  EXPECT_EQ(metrics.counter("portfolio.forks"), 4);
+  EXPECT_EQ(metrics.counter("compaction.passes"), 232);
   EXPECT_EQ(metrics.counter("portfolio.attempts"), 24);
 }
 
