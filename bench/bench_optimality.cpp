@@ -2,7 +2,7 @@
 // optimal is cyclo-compaction?
 //
 // The paper reports improvements over start-up schedules but has no ground
-// truth.  The exhaustive branch-and-bound scheduler (core/exhaustive.hpp)
+// truth.  The exhaustive branch-and-bound scheduler (tests/referee/)
 // provides it for micro instances: per random seed, compare the start-up
 // length, the compacted length, and the true optimum of the final retimed
 // graph's placement problem.
@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/exhaustive.hpp"
+#include "referee/exhaustive.hpp"
 #include "util/text_table.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/library.hpp"

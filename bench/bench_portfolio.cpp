@@ -19,6 +19,7 @@
 #include "analysis/bounds.hpp"
 #include "bench_common.hpp"
 #include "engine/portfolio.hpp"
+#include "referee/remap_referee.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/library.hpp"
 
@@ -84,24 +85,20 @@ void print_quality_gate() {
   }
 }
 
-/// The remap engine gate: on every paper architecture, the incremental
-/// backend must (a) produce placement-for-placement the serial schedule
-/// the naive v1 referee produces, and (b) scan at least 5x fewer
+/// The remap engine gate: on every paper architecture, RemapEngine must
+/// (a) produce placement-for-placement the serial schedule the naive v1
+/// referee (tests/referee/) produces, and (b) scan at least 5x fewer
 /// occupancy slots on the 19-node workload — the headline claim of the
 /// incremental engine.  Aborting here fails the benchmark job before any
 /// numbers are reported.
 void print_remap_gate() {
-  bench::banner("incremental vs naive remap backend, 19-node workload (CI gate)");
+  bench::banner("remap engine vs naive referee, 19-node workload (CI gate)");
   const Csdfg g = paper_example19();
   std::cout << "architecture        length  slots(naive)  slots(incr)  ratio\n";
   for (const Topology& topo : bench::paper_architectures()) {
     const StoreAndForwardModel comm(topo);
-    CycloCompactionOptions fast;
-    fast.remap_backend = RemapBackend::kIncremental;
-    CycloCompactionOptions referee = fast;
-    referee.remap_backend = RemapBackend::kNaive;
-    const CycloCompactionResult a = cyclo_compact(g, topo, comm, fast);
-    const CycloCompactionResult b = cyclo_compact(g, topo, comm, referee);
+    const CycloCompactionResult a = cyclo_compact(g, topo, comm, {});
+    const CycloCompactionResult b = referee_cyclo_compact(g, topo, comm, {});
     bool identical = a.best.length() == b.best.length();
     for (NodeId v = 0; identical && v < g.node_count(); ++v)
       identical = a.best.is_placed(v) == b.best.is_placed(v) &&
@@ -116,7 +113,8 @@ void print_remap_gate() {
               << "        " << a.remap_stats.slots_scanned << "        "
               << ratio << "x\n";
     if (!identical) {
-      std::cerr << "REMAP REGRESSION: backends diverge on " << topo.name()
+      std::cerr << "REMAP REGRESSION: engine and referee diverge on "
+                << topo.name()
                 << " (incremental " << a.best.length() << ", naive "
                 << b.best.length() << ")" << std::endl;
       std::abort();
@@ -131,8 +129,8 @@ void print_remap_gate() {
   }
 }
 
-/// A/B of the RemapEngine backends on the serial driver (arg 0 = the
-/// incremental engine, arg 1 = the preserved v1 referee), 19-node paper
+/// A/B of the serial driver on RemapEngine (arg 0) and on the naive v1
+/// referee from tests/referee/ (arg 1), 19-node paper
 /// workload on the 4x2 mesh.  The measured time is the whole compaction;
 /// the exported counters are the deterministic remap cost accounting of
 /// one run — `remap.slots_scanned` is occupancy probes (bitset words vs
@@ -144,11 +142,12 @@ void BM_RemapIncremental(benchmark::State& state) {
   const Csdfg g = paper_example19();
   const Topology topo = make_mesh(4, 2);
   const StoreAndForwardModel comm(topo);
-  CycloCompactionOptions opt;
-  opt.remap_backend = naive ? RemapBackend::kNaive : RemapBackend::kIncremental;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cyclo_compact(g, topo, comm, opt));
-  const CycloCompactionResult run = cyclo_compact(g, topo, comm, opt);
+  const auto compact = [&] {
+    return naive ? referee_cyclo_compact(g, topo, comm)
+                 : cyclo_compact(g, topo, comm);
+  };
+  for (auto _ : state) benchmark::DoNotOptimize(compact());
+  const CycloCompactionResult run = compact();
   state.counters["remap.slots_scanned"] =
       ::benchmark::Counter(static_cast<double>(run.remap_stats.slots_scanned));
   state.counters["an.evaluations"] =

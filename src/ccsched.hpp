@@ -24,14 +24,17 @@
 //       ... Solver-based code ...
 //     #endif
 //
-// Version 2 (the RemapEngine release): the free-function remap surface in
-// core/remap.hpp is deprecated in favor of ccs::RemapEngine
-// (core/remap_engine.hpp), and SolveResponse gained the additive
-// remap_slots_scanned / an_evaluations / engine_backend fields.  See the
-// "v1 -> v2 migration" section of docs/API.md.
+// Version 2 (the RemapEngine release) added ccs::RemapEngine
+// (core/remap_engine.hpp) and the SolveResponse remap_slots_scanned /
+// an_evaluations / engine_backend fields.  Version 3 removed the v1 remap
+// surface (core/remap.hpp and the RemapEngine statics it forwarded to),
+// the naive remap backend with its selectors, core/rotation.hpp and
+// core/exhaustive.hpp: the engine is the only remap path, and repair
+// places orphaned tasks through RemapEngine::place().  See the "v2 -> v3"
+// section of docs/API.md.
 #pragma once
 
-#define CCSCHED_API_VERSION 2
+#define CCSCHED_API_VERSION 3
 
 // Error types thrown by the toolkit layers (the Solver itself never
 // throws; it folds failures into SolveResponse::diagnostics).

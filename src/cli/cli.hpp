@@ -42,11 +42,6 @@
 //                                            deterministically
 //   ccsched schedule <graph> --arch "<spec>" [options]
 //       --policy relax|strict|startup|modulo compaction policy (default relax)
-//       --remap-backend incremental|naive    RemapEngine backend (default: the
-//                                            build default; both backends are
-//                                            placement-for-placement identical,
-//                                            they differ only in cost counters
-//                                            and speed — docs/API.md)
 //       --passes N                           rotate-remap passes (default 3|V|)
 //       --pipelined                          pipelined processors
 //       --speeds a,b,c,...                   heterogeneous speed factors
@@ -83,7 +78,6 @@
 //       --repair                             walk the degradation ladder after
 //                                            injection (docs/ROBUSTNESS.md)
 //       --policy relax|strict --passes N --pipelined --speeds a,b,...
-//       --remap-backend incremental|naive    as for schedule
 //       --portfolio --jobs N --attempts K --seed S
 //                                            portfolio baseline instead of the
 //                                            serial driver (--jobs/--attempts/

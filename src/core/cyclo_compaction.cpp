@@ -26,15 +26,7 @@ CompactionRun::CompactionRun(const Csdfg& g, const CommModel& comm,
       comm_(&comm),
       options_(options),
       passes_(pass_count(options, g)),
-      result_{g,
-              Retiming(g.node_count()),
-              startup,
-              startup,
-              {},
-              0,
-              {},
-              {},
-              std::string(remap_backend_name(options.remap_backend))} {
+      result_{g, Retiming(g.node_count()), startup, startup, {}, 0, {}, {}} {
   // Budget bookkeeping: all three stop conditions are evaluated at pass
   // boundaries so a budgeted run is a deterministic prefix of the
   // unbudgeted one (given a deterministic clock).
@@ -77,7 +69,7 @@ bool CompactionRun::admit(const ObsContext& obs) {
   // The engine owns the working graph, retiming, and placements; each pass
   // is rotate / remap / commit, and a failed pass rolls back wholesale.
   if (!engine_) {
-    engine_.emplace(*g_, *comm_, options_.remap_backend);
+    engine_.emplace(*g_, *comm_);
     engine_->bind(result_.startup);
   }
   if (engine_->length() <= 0) {

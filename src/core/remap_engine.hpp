@@ -1,4 +1,4 @@
-// ccsched — the incremental remap engine (API v2).
+// ccsched — the remap engine (API v3).
 //
 // The remapping phase (Definitions 4.2/4.3, Lemmas 4.2/4.3) is the hot path
 // of cyclo-compaction: for every rotated task v, every candidate processor
@@ -7,10 +7,11 @@
 //   AN(v, p_j) = max(1, max_i { CE(u_i) + M(PE(u_i), p_j, c(e_i)) + 1
 //                               - k_i * L_target })
 //
-// bounds the earliest feasible start step.  The v1 surface (core/remap.hpp)
-// recomputed AN from scratch for every (node, processor, target) probe and
-// walked the schedule grid cell by cell for every slot test.  RemapEngine
-// keeps the state those probes consult *incrementally*:
+// bounds the earliest feasible start step.  Recomputing AN from scratch for
+// every (node, processor, target) probe and walking the schedule grid cell
+// by cell for every slot test is what the v1 procedures did (they are kept
+// as the test referee, tests/referee/).  RemapEngine keeps the state those
+// probes consult *incrementally*:
 //
 //  * per-PE occupancy bitsets (one word per 64 control steps) make the
 //    slot-free test a handful of word probes instead of a cell walk;
@@ -23,9 +24,9 @@
 //    the scheduler inner loop, with an origin offset so the post-rotation
 //    uniform shift is a single integer increment.
 //
-// Lifecycle (the api_redesign core):
+// Lifecycle:
 //
-//     RemapEngine engine(g, comm);           // backend defaults per build
+//     RemapEngine engine(g, comm);
 //     engine.bind(startup_table);            // import a complete schedule
 //     for (pass ...) {
 //       auto rotated = engine.rotate();      // Def. 4.1 + retiming r(J)+=1
@@ -34,16 +35,12 @@
 //     }
 //     ScheduleTable best = engine.table();
 //
-// The naive path stays as the referee: RemapBackend::kNaive routes remap()
-// through the preserved v1 code (the statics below) and re-imports the
-// result, so the fast path can never silently change results — the two
-// backends are placement-for-placement identical and the differential test
-// (tests/test_remap_engine.cpp) plus the CCS-S certifier enforce it.
+// Schedule repair uses the same engine on a partial table: bind() the
+// survivors, then place() the orphaned tasks at one target length.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "arch/comm_model.hpp"
@@ -71,40 +68,13 @@ enum class RemapSelection {
   kAnticipationOnly,
 };
 
-/// Result of one remapping attempt.
-struct RemapResult {
-  bool success = false;  ///< Every rotated task was placed.
-  int length = 0;        ///< Final table length (occupied + PSL padding).
-};
-
-/// Which implementation backs a RemapEngine.
-enum class RemapBackend {
-  /// Bitset slot tests + delta-maintained AN caches (the default).
-  kIncremental,
-  /// The preserved v1 code path — the referee the fast path is certified
-  /// against.  Placement-for-placement identical to kIncremental.
-  kNaive,
-};
-
-/// The build's default backend: kIncremental unless the tree was configured
-/// with -DCCSCHED_REMAP_BACKEND=naive.
-[[nodiscard]] RemapBackend default_remap_backend() noexcept;
-
-/// Stable name ("incremental" / "naive") for reports and SolveResponse.
-[[nodiscard]] std::string_view remap_backend_name(RemapBackend backend) noexcept;
-
-/// Parses a backend name; nullopt on anything else.
-[[nodiscard]] std::optional<RemapBackend> parse_remap_backend(
-    std::string_view name) noexcept;
-
-/// Remap cost accounting, accumulated across every remap() call of one
-/// engine (and mirrored into the remap.* counters when an ObsContext with
-/// metrics is supplied).  `slots_scanned` counts occupancy probes — grid
-/// cells inspected on the naive backend, 64-step bitset words on the
-/// incremental one — so the ratio between backends is the slot-test
-/// speedup.  `an_cache_hits` counts AN evaluations answered from the
-/// delta-maintained cache (always 0 on the naive backend);
-/// `bitset_probes` counts bitset word fetches (always 0 on naive).
+/// Remap cost accounting, accumulated across every remap() / place() call
+/// of one engine (and mirrored into the remap.* counters when an ObsContext
+/// with metrics is supplied).  `slots_scanned` counts occupancy probes, one
+/// per 64-step bitset word examined (the v1 referee counts grid cells for
+/// the same query, so the ratio between the two is the slot-test speedup).
+/// `an_cache_hits` counts AN evaluations answered from the delta-maintained
+/// cache; `bitset_probes` counts bitset word fetches.
 struct RemapStats {
   long long slots_scanned = 0;
   long long an_evaluations = 0;
@@ -112,8 +82,8 @@ struct RemapStats {
   long long bitset_probes = 0;
 };
 
-/// The incremental remap engine.  One engine serves one (graph, machine)
-/// compaction run: bind() imports the start-up schedule, then each pass is
+/// The remap engine.  One engine serves one (graph, machine) compaction
+/// run: bind() imports the start-up schedule, then each pass is
 /// rotate() / remap() / commit()-or-rollback().  All views (table(),
 /// graph(), retiming(), length()) reflect the *working* state; rollback()
 /// restores the last committed state wholesale.
@@ -123,20 +93,21 @@ class RemapEngine {
  public:
   /// Captures the graph (structure + current delays) and the communication
   /// model.  The model must outlive the engine.
-  RemapEngine(const Csdfg& g, const CommModel& comm,
-              RemapBackend backend = default_remap_backend());
+  RemapEngine(const Csdfg& g, const CommModel& comm);
 
-  /// Imports a complete schedule of the construction graph: machine shape
-  /// (PE count, speeds, pipelining) and every placement.  Resets the
-  /// engine's graph delays and retiming to the construction state and
-  /// commits.  May be called again to restart from a different table.
+  /// Imports a schedule of the construction graph: machine shape (PE
+  /// count, speeds, pipelining) and every placement.  Resets the engine's
+  /// graph delays and retiming to the construction state and commits.  The
+  /// table may be partial: place() fills in the missing tasks, and rotate()
+  /// needs them all placed.  May be called again to restart from a
+  /// different table.
   void bind(const ScheduleTable& table);
 
   /// Rotates the first row (Definition 4.1): returns the tasks with
   /// CB == 1 (ascending id), removes them, applies the retiming
   /// r(J) += 1 to the working graph, and shifts every remaining task one
   /// step earlier.  Throws GraphError (engine untouched) if the retiming
-  /// would be illegal.  Mirrors rotate_first_row exactly.
+  /// would be illegal.  Requires a complete working schedule.
   std::vector<NodeId> rotate();
 
   /// One full remapping pass per Definition 4.2 over the working state:
@@ -144,11 +115,27 @@ class RemapEngine {
   /// relaxation) successively longer targets.  On success the working
   /// state holds the new complete schedule and its length is returned; on
   /// failure returns nullopt with the working state back at the
-  /// post-rotation base.  Emits the same events / counters / spans as the
-  /// v1 remap_rotated, plus remap.an_cache_hit / remap.bitset_probe.
+  /// post-rotation base.  Each target is one place() attempt; without
+  /// relaxation a placement padded past previous_length is undone and the
+  /// next target tried.  Emits the remap / remap.target spans, remap_target
+  /// events and the time.remap timer around the attempts.
   [[nodiscard]] std::optional<int> remap(const std::vector<NodeId>& rotated,
                                          int previous_length,
                                          RemapPolicy policy,
+                                         RemapSelection selection,
+                                         const ObsContext& obs = {});
+
+  /// One placement attempt at `target_length`: places every task of
+  /// `nodes` — exactly the tasks the working state leaves unplaced — on
+  /// the slot Lemma 4.2 and `selection` allow (smallest start step, then
+  /// least communication to placed neighbors, then lowest PE; longer
+  /// tasks first, ties by id), then compacts the leading rows and pads
+  /// the length to the Lemma 4.3 PSL bound.  Returns the new working
+  /// length, or nullopt with the working state exactly as before the call.
+  /// Emits the remap.an span, remap_decision / psl_pad events and the
+  /// an.evaluations, remap.* and psl.* counters.
+  [[nodiscard]] std::optional<int> place(const std::vector<NodeId>& nodes,
+                                         int target_length,
                                          RemapSelection selection,
                                          const ObsContext& obs = {});
 
@@ -167,7 +154,6 @@ class RemapEngine {
 
   /// True once bind() has run.
   [[nodiscard]] bool bound() const noexcept { return bound_; }
-  [[nodiscard]] RemapBackend backend() const noexcept { return backend_; }
   [[nodiscard]] const RemapStats& stats() const noexcept { return stats_; }
 
   /// Working schedule length.
@@ -179,42 +165,10 @@ class RemapEngine {
   /// Total retiming from the construction graph to graph().
   [[nodiscard]] const Retiming& retiming() const noexcept { return retiming_; }
 
-  /// Materializes the working state as a ScheduleTable (requires every
-  /// task placed, i.e. after a successful remap()/bind()).
+  /// Materializes the working state as a ScheduleTable; tasks the working
+  /// state has not placed (after rotate(), before a successful remap())
+  /// stay unplaced.
   [[nodiscard]] ScheduleTable table() const;
-
-  // --- The preserved v1 procedures (the naive referee). -------------------
-  //
-  // These are the exact pre-engine implementations; the deprecated free
-  // functions in core/remap.hpp forward here.  `tally`, when non-null,
-  // accumulates the RemapStats the engine reports for the naive backend.
-
-  /// Anticipation function AN(v, pe) at `target_length` (Lemma 4.2).
-  [[nodiscard]] static int anticipation(const Csdfg& g,
-                                        const ScheduleTable& table,
-                                        const CommModel& comm, NodeId v,
-                                        PeId pe, int target_length);
-
-  /// Latest start step of v on `pe` under every placed successor.
-  [[nodiscard]] static int latest_start(const Csdfg& g,
-                                        const ScheduleTable& table,
-                                        const CommModel& comm, NodeId v,
-                                        PeId pe, int target_length);
-
-  /// Places every task of `rotated` into `table` at `target_length`.
-  [[nodiscard]] static RemapResult try_remap(
-      const Csdfg& g, ScheduleTable& table, const CommModel& comm,
-      const std::vector<NodeId>& rotated, int target_length,
-      RemapSelection selection, const ObsContext& obs = {},
-      RemapStats* tally = nullptr);
-
-  /// One full v1 remapping pass (Definition 4.2) over a table copy.
-  [[nodiscard]] static std::optional<ScheduleTable> remap_rotated(
-      const Csdfg& g, const ScheduleTable& table, const CommModel& comm,
-      const std::vector<NodeId>& rotated, int previous_length,
-      RemapPolicy policy,
-      RemapSelection selection = RemapSelection::kBidirectional,
-      const ObsContext& obs = {}, RemapStats* tally = nullptr);
 
  private:
   /// A cached bound contribution group: every placed static neighbor with
@@ -276,15 +230,17 @@ class RemapEngine {
   [[nodiscard]] int bitset_first_free(PeId pe, int earliest, int span,
                                       long long& probes) const;
 
-  [[nodiscard]] std::optional<int> remap_incremental(
-      const std::vector<NodeId>& rotated, int previous_length,
-      RemapPolicy policy, RemapSelection selection, const ObsContext& obs);
-  [[nodiscard]] std::optional<int> remap_naive(
-      const std::vector<NodeId>& rotated, int previous_length,
-      RemapPolicy policy, RemapSelection selection, const ObsContext& obs);
-
-  void build_static_caches(const std::vector<NodeId>& rotated,
-                           RemapSelection selection);
+  /// Builds the static bound caches of `nodes` and returns their
+  /// placement order; place_prepared() may then run at any number of
+  /// targets.
+  [[nodiscard]] std::vector<NodeId> prepare(const std::vector<NodeId>& nodes,
+                                            RemapSelection selection);
+  /// place() after prepare(), with the order it returned.  On success the
+  /// attempt stays undoable by undo_placement() until the next attempt.
+  [[nodiscard]] std::optional<int> place_prepared(
+      const std::vector<NodeId>& order, int target_length,
+      RemapSelection selection, const ObsContext& obs);
+  void undo_placement();
   [[nodiscard]] long long eval_an(NodeId v, PeId pe,
                                   long long target) const noexcept;
   [[nodiscard]] long long eval_latest(NodeId v, PeId pe,
@@ -296,7 +252,6 @@ class RemapEngine {
 
   // Immutable after construction / bind().
   const CommModel* comm_;
-  RemapBackend backend_;
   Csdfg base_graph_;  ///< Construction-time graph (pristine delays).
   std::size_t num_nodes_ = 0;
   std::size_t num_pes_ = 0;
@@ -329,7 +284,9 @@ class RemapEngine {
   std::vector<std::vector<DynAn>> dyn_an_;
   std::vector<std::vector<DynLat>> dyn_lat_;
   std::vector<std::vector<DynComm>> dyn_comm_;
-  std::vector<NodeId> undo_;
+  std::vector<NodeId> undo_;  ///< Nodes placed by the current attempt.
+  int undo_origin_ = 0;       ///< origin_ before the current attempt.
+  int undo_length_ = 0;       ///< length_ before the current attempt.
 };
 
 }  // namespace ccs

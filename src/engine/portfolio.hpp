@@ -119,11 +119,11 @@ struct AttemptOutcome {
   /// True for the winning attempt.
   bool winner = false;
   /// Remap cost accounting of this attempt's run (API v2): occupancy
-  /// probes and Lemma 4.2 anticipation evaluations, per backend semantics
-  /// (see RemapStats).
+  /// probes and Lemma 4.2 anticipation evaluations (see RemapStats).
   long long remap_slots_scanned = 0;
   long long an_evaluations = 0;
-  /// RemapEngine backend the attempt ran on ("incremental" / "naive").
+  /// Always "incremental" (CycloCompactionResult::backend); kept until the
+  /// next change to the committed benchmark rig.
   std::string engine_backend;
 };
 

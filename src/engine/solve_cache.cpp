@@ -34,14 +34,12 @@ std::uint64_t fold(std::uint64_t h, long long value) {
 
 std::uint64_t options_fingerprint(const SolveRequest& request) {
   // Format version first, so a future change to the folded field set can
-  // never alias an old fingerprint.  v2 added remap_backend: the backends
-  // are placement-identical, but their responses differ in the remap-cost
-  // fields, so they must not share cache entries.
-  std::uint64_t h = fold(2, static_cast<long long>(request.mode));
+  // never alias an old fingerprint.  v3 dropped the remap backend (v2
+  // folded it in after the policy and selection).
+  std::uint64_t h = fold(3, static_cast<long long>(request.mode));
   const CycloCompactionOptions& o = request.options;
   h = fold(h, static_cast<long long>(o.policy));
   h = fold(h, static_cast<long long>(o.selection));
-  h = fold(h, static_cast<long long>(o.remap_backend));
   h = fold(h, o.passes);
   h = fold(h, static_cast<long long>(o.startup.priority));
   h = fold(h, o.startup.comm_aware ? 1 : 0);

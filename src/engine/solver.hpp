@@ -154,14 +154,14 @@ struct SolveResponse {
   /// Remap cost accounting (API v2, additive).  For kSchedule the run's
   /// totals; for kPortfolio the winning attempt's totals (deterministic
   /// across --jobs, like the winner itself).  `remap_slots_scanned` counts
-  /// occupancy probes — grid cells on the naive backend, 64-step bitset
-  /// words on the incremental one; `an_evaluations` counts Lemma 4.2
-  /// anticipation evaluations (identical across backends).  Both 0 for
-  /// modes that never remap (kStartup, kCertify, kModulo).
+  /// occupancy probes (64-step bitset words); `an_evaluations` counts
+  /// Lemma 4.2 anticipation evaluations.  Both 0 for modes that never
+  /// remap (kStartup, kCertify, kModulo).
   long long remap_slots_scanned = 0;
   long long an_evaluations = 0;
-  /// RemapEngine backend that produced `schedule` ("incremental" /
-  /// "naive"); empty when no remap ran.
+  /// "incremental" when a remap ran, empty otherwise.  RemapEngine has one
+  /// implementation since API v3; the field stays because the committed
+  /// benchmark rig still writes it, and goes with the next change to it.
   std::string engine_backend;
 
   [[nodiscard]] bool ok() const noexcept { return status == SolveStatus::kOk; }

@@ -1,6 +1,6 @@
 // ccsched — the observability context handed through the pipeline.
 //
-// Every instrumented entry point (cyclo_compact, remap_rotated,
+// Every instrumented entry point (cyclo_compact, RemapEngine::remap,
 // start_up_schedule, execute_static/execute_self_timed) takes a trailing
 // `const ObsContext& obs = {}`: non-owning pointers to a Tracer, a
 // MetricsRegistry, and a SpanProfiler.  The default context is fully

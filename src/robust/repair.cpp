@@ -1,6 +1,7 @@
 #include "robust/repair.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -158,30 +159,31 @@ RepairOutcome repair_schedule(const Csdfg& g,
     // --- rung 0: keep the survivors, remap only the orphans ---------------
     {
       const ObsSpan rung_span = obs.span("repair.remap");
-      ScheduleTable base = empty_table(baseline.retimed_graph,
-                                       rm.topo->size(), speeds,
-                                       options.pipelined_pes);
+      ScheduleTable survivors = empty_table(baseline.retimed_graph,
+                                            rm.topo->size(), speeds,
+                                            options.pipelined_pes);
       std::vector<bool> orphaned(g.node_count(), false);
       for (NodeId v : out.orphans) orphaned[v] = true;
       for (NodeId v = 0; v < g.node_count(); ++v) {
         if (orphaned[v]) continue;
-        base.place(v, rm.from_original[baseline.best.pe(v)],
-                   baseline.best.cb(v));
+        survivors.place(v, rm.from_original[baseline.best.pe(v)],
+                        baseline.best.cb(v));
       }
-      base.set_length(std::max(baseline.best.length(),
-                               base.occupied_length()));
+      survivors.set_length(std::max(baseline.best.length(),
+                                    survivors.occupied_length()));
+      RemapEngine engine(baseline.retimed_graph, comm);
+      engine.bind(survivors);
 
       bool rung_recorded = false;
-      const int start_target = base.length();
+      const int start_target = engine.length();
       for (int slack = 0; slack <= options.max_remap_slack; ++slack) {
-        ScheduleTable attempt = base;
-        const RemapResult r = RemapEngine::try_remap(
-            baseline.retimed_graph, attempt, comm, out.orphans,
-            start_target + slack, RemapSelection::kBidirectional, obs);
-        if (!r.success) continue;
+        const std::optional<int> length =
+            engine.place(out.orphans, start_target + slack,
+                         RemapSelection::kBidirectional, obs);
+        if (!length) continue;
 
         DiagnosticBag bag;
-        Candidate cand{std::move(attempt), baseline.retimed_graph,
+        Candidate cand{engine.table(), baseline.retimed_graph,
                        baseline.retiming};
         if (certify_table(cand.graph, cand.table, comm, "repair/remap", bag,
                           options.certify)) {
@@ -195,7 +197,7 @@ RepairOutcome repair_schedule(const Csdfg& g,
           // The violation involves the frozen survivor placements; a longer
           // target cannot fix those, so fall through to recompaction.
           bag.finalize();
-          record(RepairRung::kRemap, false, r.length,
+          record(RepairRung::kRemap, false, *length,
                  certify_failure_detail(bag));
         }
         rung_recorded = true;

@@ -1,10 +1,10 @@
-#include "core/exhaustive.hpp"
+#include "referee/exhaustive.hpp"
 
 #include <algorithm>
 
 #include "core/graph_algo.hpp"
 #include "core/iteration_bound.hpp"
-#include "core/remap_engine.hpp"
+#include "referee/remap_referee.hpp"
 #include "util/contracts.hpp"
 
 namespace ccs {
@@ -36,8 +36,8 @@ private:
     if (idx == order_.size()) return true;
     const NodeId v = order_[idx];
     for (PeId pe = 0; pe < table.num_pes(); ++pe) {
-      const int lo = RemapEngine::anticipation(*g_, table, *comm_, v, pe, length_);
-      const int hi = RemapEngine::latest_start(*g_, table, *comm_, v, pe, length_);
+      const int lo = anticipation(*g_, table, *comm_, v, pe, length_);
+      const int hi = latest_start(*g_, table, *comm_, v, pe, length_);
       const int span = table.pipelined_pes() ? 1 : table.time_on(v, pe);
       for (int cb = lo; cb <= hi; ++cb) {
         if (++visited_ > budget_) throw BudgetExceeded{};

@@ -1,4 +1,4 @@
-// ccsched — exhaustive optimal scheduling for small instances.
+// ccsched tests — exhaustive optimal scheduling for small instances.
 //
 // A branch-and-bound search over all (processor, step) placements that
 // finds the true minimum static cyclic schedule length for a CSDFG on a

@@ -1,4 +1,4 @@
-#include "core/rotation.hpp"
+#include "referee/rotation.hpp"
 
 #include "util/contracts.hpp"
 

@@ -1,4 +1,5 @@
-// ccsched — the rotation phase (Definition 4.1).
+// ccsched tests — the rotation phase (Definition 4.1) on a ScheduleTable,
+// kept as the referee for RemapEngine::rotate.
 //
 // Rotating the schedule deallocates the tasks that start in the table's
 // first row and retimes the graph by drawing one delay from every edge

@@ -15,9 +15,9 @@
 #include "arch/topology.hpp"
 #include "core/critical_cycle.hpp"
 #include "core/cyclo_compaction.hpp"
-#include "core/exhaustive.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/solver.hpp"
+#include "referee/exhaustive.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/library.hpp"
 

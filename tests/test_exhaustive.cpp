@@ -5,9 +5,9 @@
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
 #include "core/cyclo_compaction.hpp"
-#include "core/exhaustive.hpp"
 #include "core/iteration_bound.hpp"
 #include "core/validator.hpp"
+#include "referee/exhaustive.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/library.hpp"
 

@@ -1,13 +1,14 @@
 // Unit tests for the remapping phase: the anticipation function AN
 // (Lemma 4.2, pinned to the paper's worked numbers), the successor bound,
-// try_remap, and the two policies of Definition 4.2.
+// try_remap, and the two policies of Definition 4.2 — on the v1 procedures
+// kept as the referee (tests/referee/), which RemapEngine is checked against.
 #include <gtest/gtest.h>
 
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
-#include "core/remap.hpp"
 #include "core/retiming.hpp"
 #include "core/validator.hpp"
+#include "referee/remap_referee.hpp"
 #include "workloads/library.hpp"
 
 namespace ccs {

@@ -1,16 +1,18 @@
-// ccsched — differential tests for the incremental RemapEngine (API v2).
+// ccsched — differential tests for RemapEngine.
 //
-// The contract under test: the kIncremental backend (bitset slot tests,
-// delta-maintained AN caches) is placement-for-placement identical to the
-// kNaive referee (the preserved v1 code path) on every library workload,
-// every paper machine, and every driver configuration.  The suite drives
-// both backends through whole cyclo-compaction runs (certifying the result
-// from first principles) and through randomized lockstep
-// rotate/remap/commit/rollback sequences that stress the delta updates.
+// The contract under test: the engine (bitset slot tests, delta-maintained
+// AN caches) is placement-for-placement identical to the naive v1 referee
+// (tests/referee/) on every library workload, every paper machine, and
+// every driver configuration.  The suite drives both through whole
+// cyclo-compaction runs (certifying the result from first principles) and
+// through randomized lockstep rotate/remap/commit/rollback sequences that
+// stress the delta updates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "core/list_scheduler.hpp"
 #include "core/remap_engine.hpp"
 #include "core/validator.hpp"
+#include "io/text_format.hpp"
+#include "referee/remap_referee.hpp"
 #include "util/contracts.hpp"
 #include "workloads/library.hpp"
 
@@ -54,6 +58,21 @@ std::vector<std::pair<std::string, Csdfg>> library_workloads() {
   w.emplace_back("diffeq", diffeq_solver());
   w.emplace_back("correlator5", correlator(5));
   return w;
+}
+
+/// The machines BackendParity runs on: the paper's five, plus the 2x2 mesh
+/// of the Figure 1 walkthrough.
+std::vector<Machine> parity_machines() {
+  std::vector<Machine> machines = paper_machines();
+  machines.push_back({"mesh2x2", make_mesh(2, 2)});
+  return machines;
+}
+
+Csdfg load_example(const std::string& file) {
+  std::ifstream f(std::string(CCS_EXAMPLES_DATA_DIR) + "/" + file);
+  std::stringstream text;
+  text << f.rdbuf();
+  return parse_csdfg(text.str());
 }
 
 /// Driver configuration for differential seed s: distinct (policy,
@@ -105,32 +124,59 @@ void expect_same_graph_delays(const Csdfg& a, const Csdfg& b,
     EXPECT_EQ(a.edge(e).delay, b.edge(e).delay) << what << " edge " << e;
 }
 
+/// One BackendParity input: a graph and the driver configurations to run
+/// it under.
+struct ParityInput {
+  std::string name;
+  Csdfg graph;
+  std::vector<CycloCompactionOptions> configs;
+};
+
+/// Every library workload under the three seed configurations on every
+/// machine, and the shipped example graphs on the machine each targets
+/// (paper_fig1b on the 2x2 mesh, paper_fig7 on the 4x2 mesh) under the
+/// default configuration with and without relaxation — what
+/// `ccsched schedule --policy relax|strict` runs.
+std::vector<ParityInput> parity_inputs(const std::string& machine) {
+  std::vector<ParityInput> inputs;
+  const std::vector<CycloCompactionOptions> seeds = {
+      seed_options(0), seed_options(1), seed_options(2)};
+  if (machine != "mesh2x2")
+    for (auto& [name, g] : library_workloads())
+      inputs.push_back({name, std::move(g), seeds});
+  CycloCompactionOptions relax;
+  CycloCompactionOptions strict;
+  strict.policy = RemapPolicy::kWithoutRelaxation;
+  if (machine == "mesh2x2")
+    inputs.push_back({"paper_fig1b", load_example("paper_fig1b.csdfg"),
+                      {relax, strict}});
+  if (machine == "mesh4x2")
+    inputs.push_back({"paper_fig7", load_example("paper_fig7.csdfg"),
+                      {relax, strict}});
+  return inputs;
+}
+
 class BackendParity : public ::testing::TestWithParam<std::size_t> {};
 
-// The tentpole acceptance check: both backends, run through whole
-// cyclo-compaction drivers across every library workload x paper machine x
-// three configuration seeds, produce bit-identical schedules, traces, and
-// retimings, and the incremental winner certifies clean from first
-// principles (CCS-S).
+// The acceptance check: the engine and the referee, run through whole
+// cyclo-compaction drivers across every input of parity_inputs(), produce
+// bit-identical schedules, traces, and retimings, and the engine's winner
+// certifies clean from first principles (CCS-S).
 TEST_P(BackendParity, CycloCompactionIsPlacementIdentical) {
-  const Machine machine = paper_machines()[GetParam()];
+  const Machine machine = parity_machines()[GetParam()];
   const StoreAndForwardModel comm(machine.topo);
-  for (const auto& [wname, g] : library_workloads()) {
-    for (int seed = 0; seed < 3; ++seed) {
-      const std::string what =
-          wname + "/" + machine.name + "/seed" + std::to_string(seed);
-      CycloCompactionOptions fast = seed_options(seed);
-      fast.remap_backend = RemapBackend::kIncremental;
-      CycloCompactionOptions referee = fast;
-      referee.remap_backend = RemapBackend::kNaive;
-
+  for (const ParityInput& input : parity_inputs(machine.name)) {
+    const Csdfg& g = input.graph;
+    for (std::size_t c = 0; c < input.configs.size(); ++c) {
+      const CycloCompactionOptions& options = input.configs[c];
+      const std::string what = input.name + "/" + machine.name + "/config" +
+                               std::to_string(c);
       const CycloCompactionResult a =
-          cyclo_compact(g, machine.topo, comm, fast);
+          cyclo_compact(g, machine.topo, comm, options);
       const CycloCompactionResult b =
-          cyclo_compact(g, machine.topo, comm, referee);
+          referee_cyclo_compact(g, machine.topo, comm, options);
 
       EXPECT_EQ(a.backend, "incremental") << what;
-      EXPECT_EQ(b.backend, "naive") << what;
       expect_same_schedule(a.best, b.best, what + " best");
       expect_same_schedule(a.startup, b.startup, what + " startup");
       expect_same_graph_delays(a.retimed_graph, b.retimed_graph, what);
@@ -139,19 +185,18 @@ TEST_P(BackendParity, CycloCompactionIsPlacementIdentical) {
       EXPECT_EQ(a.best_pass, b.best_pass) << what;
       EXPECT_EQ(a.stop_reason, b.stop_reason) << what;
 
-      // The Lemma 4.2 evaluation count is backend-independent by design
-      // (the cache changes the cost of an evaluation, not the number).
+      // The Lemma 4.2 evaluation count is the same on both by design (the
+      // cache changes the cost of an evaluation, not the number).
       EXPECT_EQ(a.remap_stats.an_evaluations, b.remap_stats.an_evaluations)
           << what;
-      // Backend-specific counters stay in their lanes.
-      EXPECT_EQ(b.remap_stats.an_cache_hits, 0) << what;
-      EXPECT_EQ(b.remap_stats.bitset_probes, 0) << what;
+      EXPECT_EQ(a.remap_stats.an_cache_hits, a.remap_stats.an_evaluations)
+          << what;
       EXPECT_EQ(a.remap_stats.bitset_probes, a.remap_stats.slots_scanned)
           << what;
 
       DiagnosticBag bag;
-      EXPECT_TRUE(certify_compaction_run(g, a, comm, fast.policy, what, {},
-                                         bag))
+      EXPECT_TRUE(certify_compaction_run(g, a, comm, options.policy, what,
+                                         {}, bag))
           << what << "\n";
       bag.finalize();
       EXPECT_TRUE(bag.empty()) << what;
@@ -160,10 +205,10 @@ TEST_P(BackendParity, CycloCompactionIsPlacementIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Machines, BackendParity,
-                         ::testing::Range<std::size_t>(0, 5),
+                         ::testing::Range<std::size_t>(0, 6),
                          [](const auto& param_info) {
                            return std::string(
-                               paper_machines()[param_info.param].name);
+                               parity_machines()[param_info.param].name);
                          });
 
 /// Tiny deterministic xorshift so the lockstep sequences are reproducible
@@ -178,8 +223,8 @@ struct Rng {
   }
 };
 
-// The delta-update property test: an incremental engine and a naive engine
-// driven in lockstep through randomized rotate / remap / commit-or-rollback
+// The delta-update property test: the engine and the referee driven in
+// lockstep through randomized rotate / remap / commit-or-rollback
 // sequences agree on every observable after every operation.  Rollbacks are
 // taken on purpose mid-run so the snapshot restore path (placements,
 // bitsets, delays, retiming, origin) is exercised, not just the happy path.
@@ -195,8 +240,8 @@ TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
       Rng rng{seed * 0x9e3779b97f4a7c15ull + wname.size()};
 
       const ScheduleTable startup = start_up_schedule(g, machine.topo, comm);
-      RemapEngine fast(g, comm, RemapBackend::kIncremental);
-      RemapEngine referee(g, comm, RemapBackend::kNaive);
+      RemapEngine fast(g, comm);
+      RefereeRemapEngine referee(g, comm);
       fast.bind(startup);
       referee.bind(startup);
 
@@ -253,15 +298,6 @@ TEST(RemapEngineDelta, LockstepRandomizedSequencesMatchNaive) {
   }
 }
 
-TEST(RemapEngineApi, BackendNamesRoundTrip) {
-  EXPECT_EQ(remap_backend_name(RemapBackend::kIncremental), "incremental");
-  EXPECT_EQ(remap_backend_name(RemapBackend::kNaive), "naive");
-  EXPECT_EQ(parse_remap_backend("incremental"), RemapBackend::kIncremental);
-  EXPECT_EQ(parse_remap_backend("naive"), RemapBackend::kNaive);
-  EXPECT_EQ(parse_remap_backend("v1"), std::nullopt);
-  EXPECT_EQ(parse_remap_backend(""), std::nullopt);
-}
-
 TEST(RemapEngineApi, LifecycleContractsAreEnforced) {
   const Csdfg g = paper_example6();
   const Topology mesh = make_mesh(2, 2);
@@ -280,23 +316,64 @@ TEST(RemapEngineApi, LifecycleContractsAreEnforced) {
                        "bind round-trip");
 }
 
-// The incremental backend's reason to exist: on the paper's 19-node
-// workload the bitset word probes undercut the naive backend's cell walk
-// by a wide margin while producing the same schedule.  The hard >= 5x gate
-// lives in bench_portfolio's quality gate; here the test pins the
-// direction so a regression cannot hide between bench runs.
+// place() on a partial table, the way schedule repair uses it: at each
+// target it agrees with the referee's try_remap, every failed attempt
+// leaves the working state exactly as bound, and the first target that
+// succeeds places every missing task where the referee does.
+TEST(RemapEngineApi, PlaceUndoesAFailedAttemptWhole) {
+  const Csdfg g = paper_example6();
+  const Topology mesh = make_mesh(2, 2);
+  const StoreAndForwardModel comm(mesh);
+  const ScheduleTable full = start_up_schedule(g, mesh, comm);
+  ScheduleTable partial(g, mesh.size());
+  std::vector<NodeId> missing;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (full.cb(v) == 1) {
+      missing.push_back(v);
+      continue;
+    }
+    partial.place(v, full.pe(v), full.cb(v));
+  }
+  partial.set_length(full.length());
+  ASSERT_FALSE(missing.empty());
+
+  RemapEngine engine(g, comm);
+  engine.bind(partial);
+  int failures = 0;
+  std::optional<int> length;
+  for (int target = 1; target <= 2 * full.length(); ++target) {
+    const std::string what = "place() at " + std::to_string(target);
+    ScheduleTable expected = partial;
+    const RemapResult ref = try_remap(g, expected, comm, missing, target,
+                                      RemapSelection::kBidirectional);
+    length = engine.place(missing, target, RemapSelection::kBidirectional);
+    ASSERT_EQ(length.has_value(), ref.success) << what;
+    if (length) {
+      EXPECT_EQ(*length, ref.length) << what;
+      expect_same_schedule(engine.table(), expected, what);
+      break;
+    }
+    ++failures;
+    expect_same_schedule(engine.table(), partial, what);
+    EXPECT_EQ(engine.length(), partial.length()) << what;
+  }
+  EXPECT_GT(failures, 0);
+  ASSERT_TRUE(length.has_value());
+  EXPECT_TRUE(validate_schedule(g, engine.table(), comm).ok());
+}
+
+// The engine's reason to exist: on the paper's 19-node workload the bitset
+// word probes undercut the referee's cell walk by a wide margin while
+// producing the same schedule.  The hard >= 5x gate lives in
+// bench_portfolio's quality gate; here the test pins the direction so a
+// regression cannot hide between bench runs.
 TEST(RemapEngineStats, IncrementalScansFewerSlotsOnPaper19) {
   const Csdfg g = paper_example19();
   const Topology mesh = make_mesh(4, 2);
   const StoreAndForwardModel comm(mesh);
 
-  CycloCompactionOptions fast;
-  fast.remap_backend = RemapBackend::kIncremental;
-  CycloCompactionOptions referee = fast;
-  referee.remap_backend = RemapBackend::kNaive;
-
-  const CycloCompactionResult a = cyclo_compact(g, mesh, comm, fast);
-  const CycloCompactionResult b = cyclo_compact(g, mesh, comm, referee);
+  const CycloCompactionResult a = cyclo_compact(g, mesh, comm);
+  const CycloCompactionResult b = referee_cyclo_compact(g, mesh, comm);
   expect_same_schedule(a.best, b.best, "paper19/mesh4x2");
   EXPECT_GT(a.remap_stats.slots_scanned, 0);
   EXPECT_GT(b.remap_stats.slots_scanned,

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "io/text_format.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "referee/remap_referee.hpp"
 #include "robust/fault_plan.hpp"
 #include "robust/repair.hpp"
 #include "sim/executor.hpp"
@@ -335,6 +337,116 @@ TEST(Repair, SinglePeFailStopRepairsEveryLibraryWorkload) {
     bag.finalize();
     EXPECT_EQ(bag.count(Severity::kError), 0u) << g.name();
   }
+}
+
+/// The remap rung (rung 0) as it ran on the v1 procedures: the survivors
+/// keep their placements, the orphans go through try_remap at the baseline
+/// length plus 0..max_remap_slack steps, and the first placement found is
+/// certified.  `detail` is the text repair_schedule records for the rung.
+struct RefereeRemapRung {
+  std::optional<ScheduleTable> accepted;
+  std::string detail;
+};
+
+RefereeRemapRung referee_remap_rung(const CycloCompactionResult& baseline,
+                                    const ReducedMachine& rm,
+                                    const std::vector<NodeId>& orphans,
+                                    const RepairOptions& options) {
+  const Csdfg& g = baseline.retimed_graph;
+  const StoreAndForwardModel comm(*rm.topo);
+  ScheduleTable base(g, rm.topo->size(), options.pipelined_pes);
+  std::vector<bool> orphaned(g.node_count(), false);
+  for (NodeId v : orphans) orphaned[v] = true;
+  for (NodeId v = 0; v < g.node_count(); ++v)
+    if (!orphaned[v])
+      base.place(v, rm.from_original[baseline.best.pe(v)],
+                 baseline.best.cb(v));
+  base.set_length(std::max(baseline.best.length(), base.occupied_length()));
+
+  RefereeRemapRung rung;
+  for (int slack = 0; slack <= options.max_remap_slack; ++slack) {
+    ScheduleTable attempt = base;
+    const RemapResult r =
+        try_remap(g, attempt, comm, orphans, base.length() + slack,
+                  RemapSelection::kBidirectional);
+    if (!r.success) continue;
+    DiagnosticBag bag;
+    std::ostringstream os;
+    if (certify_table(g, attempt, comm, "repair/remap", bag,
+                      options.certify)) {
+      os << "re-placed " << orphans.size() << " orphan task(s) on "
+         << rm.survivors() << " survivor(s), length " << attempt.length();
+      rung.accepted = std::move(attempt);
+    } else {
+      bag.finalize();
+      os << "candidate failed certification ("
+         << bag.count(Severity::kError) << " error(s))";
+    }
+    rung.detail = os.str();
+    return rung;
+  }
+  rung.detail = "no placement for " + std::to_string(orphans.size()) +
+                " orphan(s) within " +
+                std::to_string(options.max_remap_slack) + " steps of slack";
+  return rung;
+}
+
+// The remap rung runs on RemapEngine::place(); the v1 try_remap slack loop
+// it replaced is the referee.  For every library workload and every
+// single-PE fail-stop on every paper machine, both must reach the same
+// verdict, the same placements and length, and the same detail text.
+TEST(Repair, RemapRungMatchesTheV1Referee) {
+  const std::vector<Csdfg> workloads = {
+      paper_example6(), paper_example19(),     elliptic_filter(),
+      lattice_filter(), iir_biquad_cascade(3), fir_filter(8),
+      diffeq_solver(),  correlator(6),
+  };
+  const std::vector<Topology> machines = {
+      make_complete(8), make_linear_array(8), make_ring(8), make_mesh(4, 2),
+      make_hypercube(3)};
+  const RepairOptions options;
+  int accepted = 0;
+  int compared = 0;
+  for (const Topology& topo : machines) {
+    const StoreAndForwardModel comm(topo);
+    for (const Csdfg& g : workloads) {
+      const CycloCompactionResult base = cyclo_compact(g, topo, comm);
+      for (PeId dead = 0; dead < topo.size(); ++dead) {
+        const std::string what = g.name() + "/" + topo.name() + "/fail p" +
+                                 std::to_string(dead);
+        const FaultPlan plan = fail_pe(dead);
+        const ReducedMachine rm = reduce_machine(topo, plan);
+        if (!rm.connected) continue;  // only the serial rung applies
+        std::vector<NodeId> orphans;
+        for (NodeId v = 0; v < g.node_count(); ++v)
+          if (base.best.pe(v) == dead) orphans.push_back(v);
+
+        const RepairOutcome out = repair_schedule(g, base, topo, plan, options);
+        const RefereeRemapRung ref =
+            referee_remap_rung(base, rm, orphans, options);
+        ++compared;
+        EXPECT_EQ(out.orphans, orphans) << what;
+        ASSERT_FALSE(out.attempts.empty()) << what;
+        EXPECT_EQ(out.attempts.front(), "remap: " + ref.detail) << what;
+        EXPECT_EQ(out.rung == RepairRung::kRemap, ref.accepted.has_value())
+            << what;
+        if (!ref.accepted || out.rung != RepairRung::kRemap) continue;
+        ++accepted;
+        EXPECT_EQ(out.detail, ref.detail) << what;
+        ASSERT_TRUE(out.schedule.has_value()) << what;
+        const ScheduleTable& got = *out.schedule;
+        EXPECT_EQ(got.length(), ref.accepted->length()) << what;
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+          ASSERT_TRUE(got.is_placed(v)) << what << " node " << v;
+          EXPECT_EQ(got.pe(v), ref.accepted->pe(v)) << what << " node " << v;
+          EXPECT_EQ(got.cb(v), ref.accepted->cb(v)) << what << " node " << v;
+        }
+      }
+    }
+  }
+  // The comparison must have bitten: most plans repair on rung 0.
+  EXPECT_GT(compared, 200);
+  EXPECT_GT(accepted, compared / 2);
 }
 
 TEST(Repair, SinglePeFailStopRepairsEveryExampleDataWorkload) {

@@ -4,7 +4,7 @@
 #include "arch/comm_model.hpp"
 #include "arch/topology.hpp"
 #include "core/list_scheduler.hpp"
-#include "core/rotation.hpp"
+#include "referee/rotation.hpp"
 #include "workloads/library.hpp"
 
 namespace ccs {
